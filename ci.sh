@@ -26,6 +26,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== bench module smoke (nested module: root go build/test do not compile it) =="
+go -C bench test .
+
 echo "== detlint (determinism analyzers over the deterministic-replay packages) =="
 go build -o /tmp/detlint.$$ ./cmd/detlint
 DETLINT_PKGS="./internal/check ./internal/core ./internal/fuzz ./internal/campaign ./internal/userstudy ./internal/workload"
@@ -99,9 +102,12 @@ echo ok
 echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
 go test -race -run 'TestVTable' ./internal/check
 
-echo "== alloc budgets (flat visited table + canonical hashing stay on the alloc-free hot path) =="
+echo "== alloc budgets (flat visited table, canonical hashing and apply/undo stay on the alloc-free hot path) =="
 go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget' ./internal/core
-go test -run 'TestAppendCanonicalHashAllocFree' ./internal/model
+go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree' ./internal/model
+
+echo "== delta-state race leg (stamped undo + replica cache, two worlds sharing one globals layout) =="
+go test -race -count=10 -run 'TestDeltaStateSharedLayout' ./internal/model
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/netemu ./internal/emu ./internal/fixes

@@ -65,7 +65,7 @@ var symMirror = [13]byte{1, 0, 3, 2, 5, 4, 6, 8, 7, 10, 9, 12, 11}
 func mutateSym(w *model.World, op, arg byte) {
 	push := func(ch, from string) {
 		c := w.Chan(ch)
-		c.Queue = append(c.Queue, types.Message{
+		c.Push(types.Message{
 			Kind:  types.MsgKind(arg),
 			Cause: types.Cause(arg / 3),
 			Seq:   uint32(arg) * 7,
@@ -123,11 +123,10 @@ func swapSymWorld(f interface{ Fatal(...any) }, w *model.World) *model.World {
 		dp.M.SetState(sp.M.State())
 		dp.M.SetVar("x", sp.M.Var("x"))
 		sc, dc := w.Chan(name), out.Chan(rename(name))
-		dc.Queue = dc.Queue[:0]
-		for _, m := range sc.Queue {
+		for _, m := range sc.Messages() {
 			m.From = rename(m.From)
 			m.To = rename(m.To)
-			dc.Queue = append(dc.Queue, m)
+			dc.Push(m)
 		}
 	}
 	for name, v := range w.GlobalsMap() {

@@ -52,8 +52,7 @@ func mutate(w *model.World, op, arg byte) bool {
 	case 4:
 		w.SetGlobal("g.new", int(arg)) // introduces a new global
 	case 5:
-		ch := w.Chan("Q")
-		ch.Queue = append(ch.Queue, types.Message{
+		w.Chan("Q").Push(types.Message{
 			Kind:  types.MsgKind(arg),
 			Cause: types.Cause(arg / 3),
 			Seq:   uint32(arg) * 7,

@@ -77,8 +77,11 @@ func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 
 // visitedSet is the deduplication structure shared by the sequential
 // and parallel engines: the lock-free open-addressing fingerprint
-// table of vtable.go, keyed by the canonical state hash and tracking
-// for each state the shallowest depth at which it was discovered.
+// table of vtable.go, keyed by the state hash (model.World.AppendHash
+// or AppendCanonicalHash: the multiply-fold hash64 over the encoding,
+// unseeded, so fingerprints and with them compact-mode omissions repeat
+// run to run) and tracking for each state the shallowest depth at
+// which it was discovered.
 //
 // Min-depth tracking is what makes bounded exploration deterministic:
 // a state first reached through a long path is re-expanded if a

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"cnetverifier/internal/types"
 )
@@ -115,6 +116,23 @@ type Spec struct {
 	// enabled for the same event the checker explores each branch; the
 	// runtime engine takes the first (table order is priority order).
 	Transitions []Transition
+
+	// derived holds what Derived memoized. A Spec must not be copied.
+	derived sync.Map
+}
+
+// Derived returns the value build computes for key on this spec,
+// building it on first use (concurrent first uses may both build; one
+// result wins for everyone). The spec owns what is derived from it —
+// its variable layout, the lint passes' probe results — so all of it is
+// collected with the spec, e.g. an emulator stack after a replay. Keys
+// are an unexported type per caller, as with context.Value.
+func (s *Spec) Derived(key any, build func() any) any {
+	if v, ok := s.derived.Load(key); ok {
+		return v
+	}
+	v, _ := s.derived.LoadOrStore(key, build())
+	return v
 }
 
 // Validate checks the spec for structural problems: an empty name,
@@ -179,6 +197,11 @@ type Machine struct {
 	state State
 	vars  []int32   // declared variables, slot order
 	over  []overVar // runtime-grown variables, sorted by name
+	// stamp names the current content: every mutation takes a fresh one
+	// from tick, which only ever grows, and Restore puts a saved stamp
+	// back only together with the content saved with it. Over a
+	// machine's lifetime equal stamps therefore mean equal content.
+	stamp, tick uint64
 	// enc memoizes the canonical encoding (len 0 = stale). Mutators
 	// invalidate it; unchanged machines of a world re-encode by memcpy.
 	enc []byte
@@ -204,11 +227,21 @@ func (m *Machine) Name() string { return m.spec.Name }
 // State returns the current control state.
 func (m *Machine) State() State { return m.state }
 
+// Stamp returns the change stamp of the machine's current content.
+func (m *Machine) Stamp() uint64 { return m.stamp }
+
+// touch announces a mutation: a fresh stamp, a stale encoding memo.
+func (m *Machine) touch() {
+	m.tick++
+	m.stamp = m.tick
+	m.enc = m.enc[:0]
+}
+
 // SetState forces the control state (used by test harnesses and by the
 // checker when replaying counterexamples).
 func (m *Machine) SetState(s State) {
+	m.touch()
 	m.state = s
-	m.enc = m.enc[:0]
 }
 
 // Var returns a local variable value (zero if undeclared).
@@ -226,11 +259,11 @@ func (m *Machine) Var(name string) int {
 // overflow list (each machine owns its list, so growth never touches a
 // clone's backing array).
 func (m *Machine) SetVar(name string, v int) {
-	m.enc = m.enc[:0]
 	if i, ok := m.lay.slot[name]; ok {
-		m.vars[i] = int32(v)
+		m.setSlot(i, int32(v))
 		return
 	}
+	m.touch()
 	i, ok := overIdx(m.over, name)
 	if ok {
 		m.over[i].val = int32(v)
@@ -280,11 +313,20 @@ func (m *Machine) Apply(c Ctx, e Event, i int) Transition {
 	if t.Action != nil {
 		t.Action(m.wrap(c), e)
 	}
-	if t.To != Same {
+	if t.To != Same && t.To != m.state {
+		m.touch()
 		m.state = t.To
-		m.enc = m.enc[:0]
 	}
 	return t
+}
+
+// setSlot writes a declared variable; writing the value already there
+// is not a mutation.
+func (m *Machine) setSlot(slot int32, v int32) {
+	if m.vars[slot] != v {
+		m.touch()
+		m.vars[slot] = v
+	}
 }
 
 // Step fires the first enabled transition for the event, returning the
@@ -310,7 +352,10 @@ func (m *Machine) Clone() *Machine {
 // CloneInto makes dst a deep copy of m, reusing dst's slabs when they
 // have capacity — the allocation-free clone the checker's world pool
 // relies on. dst's scratch context is left untouched (never shared).
+// For dst this is a mutation like any other: it takes a fresh stamp of
+// its own, never m's.
 func (m *Machine) CloneInto(dst *Machine) {
+	dst.touch()
 	dst.spec, dst.lay, dst.state = m.spec, m.lay, m.state
 	dst.vars = append(dst.vars[:0], m.vars...)
 	dst.over = append(dst.over[:0], m.over...)
@@ -321,6 +366,7 @@ func (m *Machine) CloneInto(dst *Machine) {
 // of the model layer's apply/undo discipline. The zero value is ready
 // to use; Save and Restore reuse its slabs across calls.
 type MachineUndo struct {
+	stamp uint64
 	state State
 	vars  []int32
 	over  []overVar
@@ -328,16 +374,23 @@ type MachineUndo struct {
 
 // Save records the machine's complete logical state into u.
 func (m *Machine) Save(u *MachineUndo) {
+	u.stamp = m.stamp
 	u.state = m.state
 	u.vars = append(u.vars[:0], m.vars...)
 	u.over = append(u.over[:0], m.over...)
 }
 
-// Restore rewinds the machine to a Save point.
+// Restore rewinds the machine to a Save point taken on this machine.
+// One still carrying the saved stamp has not changed since and is left
+// alone, encoding memo included.
 func (m *Machine) Restore(u *MachineUndo) {
+	if m.stamp == u.stamp {
+		return
+	}
 	m.state = u.state
 	m.vars = append(m.vars[:0], u.vars...)
 	m.over = append(m.over[:0], u.over...)
+	m.stamp = u.stamp
 	m.enc = m.enc[:0]
 }
 
@@ -414,10 +467,7 @@ func (c *machineCtx) Set(name string, v int) {
 // for guards and actions that pre-resolve their slots via Spec.Slot.
 func (c *machineCtx) GetI(slot int32) int32 { return c.m.vars[slot] }
 
-func (c *machineCtx) SetI(slot int32, v int32) {
-	c.m.enc = c.m.enc[:0]
-	c.m.vars[slot] = v
-}
+func (c *machineCtx) SetI(slot int32, v int32) { c.m.setSlot(slot, v) }
 
 func (c *machineCtx) Send(to string, msg types.Message) { c.inner.Send(to, msg) }
 func (c *machineCtx) Output(msg types.Message)          { c.inner.Output(msg) }

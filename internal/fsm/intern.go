@@ -72,19 +72,15 @@ type layout struct {
 	init  []int32          // initial values, slot order
 }
 
-// layouts caches one layout per *Spec. Specs are built once at package
-// init and treated as immutable after the first Machine instantiation;
-// the cache is only consulted at construction time (fsm.New), never on
-// the exploration hot path.
-var layouts sync.Map // *Spec -> *layout
+type layoutKey struct{}
 
+// layoutFor returns the spec's layout, built on first use and owned by
+// the spec (Spec.Derived). Specs are treated as immutable after the
+// first Machine instantiation; the layout is only consulted at
+// construction time (fsm.New, Spec.Slot), never on the exploration hot
+// path.
 func layoutFor(s *Spec) *layout {
-	if l, ok := layouts.Load(s); ok {
-		return l.(*layout)
-	}
-	l := buildLayout(s)
-	actual, _ := layouts.LoadOrStore(s, l)
-	return actual.(*layout)
+	return s.Derived(layoutKey{}, func() any { return buildLayout(s) }).(*layout)
 }
 
 func buildLayout(s *Spec) *layout {

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"cnetverifier/internal/fsm"
 	"cnetverifier/internal/model"
@@ -131,19 +130,13 @@ type SpecEffects struct {
 	Handles []types.MsgKind
 }
 
-// specCache memoizes ForSpec per *Spec (specs are built once and
-// immutable, the same contract the fsm layout cache relies on).
-var specCache sync.Map // *fsm.Spec -> *SpecEffects
+type specEffectsKey struct{}
 
 // ForSpec probes every transition of the spec and returns its effect
-// summaries (memoized).
+// summaries, memoized on the spec itself (specs are built once and
+// immutable, the same contract the fsm layout relies on).
 func ForSpec(s *fsm.Spec) *SpecEffects {
-	if se, ok := specCache.Load(s); ok {
-		return se.(*SpecEffects)
-	}
-	se := buildSpecEffects(s)
-	actual, _ := specCache.LoadOrStore(s, se)
-	return actual.(*SpecEffects)
+	return s.Derived(specEffectsKey{}, func() any { return buildSpecEffects(s) }).(*SpecEffects)
 }
 
 func buildSpecEffects(s *fsm.Spec) *SpecEffects {

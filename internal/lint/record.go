@@ -2,7 +2,6 @@ package lint
 
 import (
 	"sort"
-	"sync"
 
 	"cnetverifier/internal/fsm"
 	"cnetverifier/internal/types"
@@ -167,21 +166,15 @@ func mergeAccess(tf *transFacts, rec *recorder) {
 	}
 }
 
-// specFactsCache memoizes probeSpec per *Spec. Specs are built once at
-// package init and immutable thereafter (the same contract the fsm
-// layout cache relies on), probing is a pure function of the spec, and
-// no consumer mutates the returned facts — so a screening campaign
-// that lints the same world before every run probes each spec once.
-var specFactsCache sync.Map // *fsm.Spec -> *specFacts
+type specFactsKey struct{}
 
-// probeSpec probes every transition of the spec (memoized).
+// probeSpec probes every transition of the spec, memoized on the spec
+// itself. Specs are immutable once built (the same contract the fsm
+// layout relies on), probing is a pure function of the spec, and no
+// consumer mutates the returned facts — so a screening campaign that
+// lints the same world before every run probes each spec once.
 func probeSpec(s *fsm.Spec) *specFacts {
-	if sf, ok := specFactsCache.Load(s); ok {
-		return sf.(*specFacts)
-	}
-	sf := buildSpecFacts(s)
-	actual, _ := specFactsCache.LoadOrStore(s, sf)
-	return actual.(*specFacts)
+	return s.Derived(specFactsKey{}, func() any { return buildSpecFacts(s) }).(*specFacts)
 }
 
 func buildSpecFacts(s *fsm.Spec) *specFacts {

@@ -86,18 +86,7 @@ func TestQuickSaveRestoreRoundTrip(t *testing.T) {
 // hashOf recomputes the world hash from an encoding-equal world: two
 // worlds with equal encodings must hash equally, so compare via a fresh
 // replay rather than trusting Hash's internal memo.
-func hashOf(enc []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range enc {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
+func hashOf(enc []byte) uint64 { return hash64(enc) }
 
 // Property: applying a step in place (with ApplyUndo) reaches the same
 // state as applying it to a clone, and Restore rewinds exactly.

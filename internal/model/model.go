@@ -41,9 +41,40 @@ type Channel struct {
 	// only the head, modeling signals relayed through different base
 	// stations arriving out of sequence (§5.2 duplicate-signal case).
 	Reorder bool
-	// Queue holds pending messages in arrival order. Every world owns
-	// its queue backing (clones copy), so steps edit it in place.
-	Queue []types.Message
+	// queue holds pending messages in arrival order. Every world owns
+	// its queue backing (clones copy), so steps edit it in place — only
+	// through the methods below, which stamp each change the way
+	// fsm.Machine does: equal stamps, equal content.
+	queue       []types.Message
+	stamp, tick uint64
+}
+
+// Messages returns a copy of the pending messages in arrival order.
+func (c *Channel) Messages() []types.Message {
+	return append([]types.Message(nil), c.queue...)
+}
+
+// Push appends a message as is (World.Inject also fills in To).
+func (c *Channel) Push(m types.Message) {
+	c.touch()
+	c.queue = append(c.queue, m)
+}
+
+func (c *Channel) touch() {
+	c.tick++
+	c.stamp = c.tick
+}
+
+// remove deletes the message at pos in place.
+func (c *Channel) remove(pos int) {
+	c.touch()
+	c.queue = append(c.queue[:pos], c.queue[pos+1:]...)
+}
+
+// set replaces the content with a copy of q, reusing the backing.
+func (c *Channel) set(q []types.Message) {
+	c.touch()
+	c.queue = append(c.queue[:0], q...)
 }
 
 // Proc is a protocol process: a named machine with an inbox.
@@ -324,6 +355,9 @@ func (w *World) CloneInto(dst *World) {
 	// clone correctly; the copy always lands in dst's slabs.
 	np, nc := len(w.Procs), len(w.Chans)
 	if cap(dst.procs) < np || cap(dst.chans) < nc {
+		// New machines start their stamps over, so what the canonical
+		// encoder cached against the old ones goes with them.
+		dst.symScratch = nil
 		dst.procs = make([]Proc, np)
 		dst.chans = make([]Channel, nc)
 		dst.machines = make([]fsm.Machine, np)
@@ -345,7 +379,7 @@ func (w *World) CloneInto(dst *World) {
 	for i, sc := range w.Chans {
 		dc := &dst.chans[i]
 		dc.Name, dc.Cap, dc.Lossy, dc.Reorder = sc.Name, sc.Cap, sc.Lossy, sc.Reorder
-		dc.Queue = append(dc.Queue[:0], sc.Queue...)
+		dc.set(sc.queue)
 		dst.Chans[i] = &dst.chans[i]
 	}
 	dst.Stats = w.Stats
@@ -369,9 +403,9 @@ func (w *World) Encode(buf []byte) []byte {
 		buf = p.M.Encode(buf)
 	}
 	for _, c := range w.Chans {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.Queue)))
+		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.queue)))
 		buf = append(buf, tmp[:2]...)
-		for _, m := range c.Queue {
+		for _, m := range c.queue {
 			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
 			buf = append(buf, tmp[:2]...)
 			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
@@ -403,27 +437,19 @@ func (w *World) Encode(buf []byte) []byte {
 	return buf
 }
 
-// Hash returns an FNV-64a digest of the canonical encoding.
+// Hash returns the hash64 digest of the positional encoding (Encode).
 func (w *World) Hash() uint64 {
 	h, _ := w.AppendHash(nil)
 	return h
 }
 
-// AppendHash encodes the world into buf[:0] and returns the FNV-64a
+// AppendHash encodes the world into buf[:0] and returns the hash64
 // digest together with the (re)used buffer. Callers on hot paths keep
 // the returned buffer as scratch for the next call, eliminating the
 // per-state encoding allocation.
 func (w *World) AppendHash(buf []byte) (uint64, []byte) {
 	buf = w.Encode(buf[:0])
-	// Inline FNV-64a over buf (hash/fnv forces a heap-allocated state
-	// through the hash.Hash64 interface).
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, buf
+	return hash64(buf), buf
 }
 
 // ctx implements fsm.Ctx for a process executing inside the world.
@@ -467,13 +493,13 @@ func (c *ctx) Send(to string, msg types.Message) {
 		c.notes = append(c.notes, fmt.Sprintf("send to unknown %q dropped", to))
 		return
 	}
-	if ch.Cap > 0 && len(ch.Queue) >= ch.Cap {
+	if ch.Cap > 0 && len(ch.queue) >= ch.Cap {
 		c.dropped++
 		c.w.Stats.Dropped++
 		c.notes = append(c.notes, fmt.Sprintf("inbox %q full, %s dropped", to, msg))
 		return
 	}
-	ch.Queue = append(ch.Queue, msg)
+	ch.Push(msg)
 }
 
 func (c *ctx) Output(msg types.Message) {

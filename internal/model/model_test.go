@@ -266,7 +266,7 @@ func TestOutputFanout(t *testing.T) {
 	if w.QueueLen("P") != 1 || w.QueueLen("Q") != 1 {
 		t.Fatalf("fanout queues P=%d Q=%d, want 1,1", w.QueueLen("P"), w.QueueLen("Q"))
 	}
-	msg := w.Chan("P").Queue[0]
+	msg := w.Chan("P").Messages()[0]
 	if msg.From != "L" {
 		t.Fatalf("From = %q, want L", msg.From)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cnetverifier/internal/fsm"
-	"cnetverifier/internal/types"
 )
 
 // Project builds a sub-world containing only the named processes,
@@ -65,7 +64,7 @@ func (w *World) Project(names []string) (*World, error) {
 		dc := &pw.chans[j]
 		if sc != nil {
 			dc.Name, dc.Cap, dc.Lossy, dc.Reorder = sc.Name, sc.Cap, sc.Lossy, sc.Reorder
-			dc.Queue = append([]types.Message(nil), sc.Queue...)
+			dc.set(sc.queue)
 		} else {
 			dc.Name = src.Name
 		}

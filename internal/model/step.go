@@ -130,15 +130,15 @@ func (w *World) StepsQueueAppend(steps []Step) []Step {
 		if ch.Name != p.Name {
 			ch = w.Chan(p.Name)
 		}
-		if ch == nil || len(ch.Queue) == 0 {
+		if ch == nil || len(ch.queue) == 0 {
 			continue
 		}
 		last := 0
 		if ch.Reorder {
-			last = len(ch.Queue) - 1
+			last = len(ch.queue) - 1
 		}
 		for pos := 0; pos <= last; pos++ {
-			msg := ch.Queue[pos]
+			msg := ch.queue[pos]
 			ev := fsm.EvMsg(msg)
 			w.enbuf = p.M.EnabledAppend(w.ctxFor(p), ev, w.enbuf[:0])
 			if len(w.enbuf) == 0 {
@@ -183,20 +183,20 @@ func (w *World) Apply(s Step) (Step, error) {
 	switch s.Kind {
 	case StepDrop, StepDiscard:
 		ch := w.Chan(s.Proc)
-		if ch == nil || s.Pos >= len(ch.Queue) {
+		if ch == nil || s.Pos >= len(ch.queue) {
 			return s, fmt.Errorf("model: apply: %s position %d out of range", s.Kind, s.Pos)
 		}
 		// In-place removal is safe: every world owns its queue backing
 		// (clones copy queues), and Save/Restore snapshots them.
-		ch.Queue = append(ch.Queue[:s.Pos], ch.Queue[s.Pos+1:]...)
+		ch.remove(s.Pos)
 		return s, nil
 	case StepDeliver:
 		ch := w.Chan(s.Proc)
-		if ch == nil || s.Pos >= len(ch.Queue) {
+		if ch == nil || s.Pos >= len(ch.queue) {
 			return s, fmt.Errorf("model: apply: deliver position %d out of range", s.Pos)
 		}
-		msg := ch.Queue[s.Pos]
-		ch.Queue = append(ch.Queue[:s.Pos], ch.Queue[s.Pos+1:]...)
+		msg := ch.queue[s.Pos]
+		ch.remove(s.Pos)
 		c := w.ctxFor(p)
 		tr := p.M.Apply(c, fsm.EvMsg(msg), s.TransIdx)
 		s.Label = tr.Name
@@ -231,14 +231,14 @@ func (w *World) Inject(to string, msg types.Message) error {
 		return fmt.Errorf("model: inject: unknown process %q", to)
 	}
 	msg.To = to
-	ch.Queue = append(ch.Queue, msg)
+	ch.Push(msg)
 	return nil
 }
 
 // QueueLen returns the inbox depth of a process (0 if unknown).
 func (w *World) QueueLen(proc string) int {
 	if ch := w.Chan(proc); ch != nil {
-		return len(ch.Queue)
+		return len(ch.queue)
 	}
 	return 0
 }
@@ -246,7 +246,7 @@ func (w *World) QueueLen(proc string) int {
 // Quiescent reports whether no messages are pending anywhere.
 func (w *World) Quiescent() bool {
 	for _, c := range w.Chans {
-		if len(c.Queue) > 0 {
+		if len(c.queue) > 0 {
 			return false
 		}
 	}

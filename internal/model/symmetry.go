@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,15 +67,44 @@ type symReplicaRes struct {
 }
 
 // symScratch is per-world reusable working storage for EncodeCanonical
-// (never shared between worlds; CloneInto skips it, like scratch).
+// (never shared between worlds; CloneInto skips it, like scratch). It
+// is also a cache, valid for one resolved descriptor (res): reps keeps
+// every replica's last sub-encoding, and lays what was resolved against
+// each globals layout the world has been seen with — layouts are
+// immutable and Restore keeps coming back to the same few, so each is
+// resolved once.
 type symScratch struct {
-	subs  [][]byte
+	res   *symResolution
+	reps  []repCache // one per replica, groups flattened in res order
 	order []int
+	lays  map[*glayout]*symLayout
+}
+
+// symLayout is one globals layout as the descriptor divides it: its
+// names (nil for a world without globals), each replica's namespace
+// span (reps order) and the indices left over.
+type symLayout struct {
+	names []string
 	spans []gspan
+	rest  []int32
 }
 
 // gspan is a half-open range of globals-layout indices.
 type gspan struct{ lo, hi int }
+
+// repCache is one replica's sub-encoding plus what it was encoded from.
+// sub[:keep] — machines, queues and globals — stands while the machines
+// and queues still carry stamps (equal stamp, equal content) and the
+// replica's globals still have these names and values; keep = 0 says
+// nothing stands. Armed timers follow it and are encoded on every call:
+// their windows are relative to a clock that most steps move.
+type repCache struct {
+	sub    []byte
+	keep   int
+	stamps []uint64 // machine stamps, then queue stamps, in role order
+	gnames []string // a sub-slice of some layout's names, never written
+	gvals  []int32
+}
 
 // SetSymmetry attaches a replica-symmetry descriptor to the world and
 // resolves it against the current process table. Clones share the
@@ -178,21 +208,49 @@ func (w *World) filterSymmetry(keep map[string]bool) *Symmetry {
 	return &out
 }
 
-// globalsSpan returns the half-open index range of the sorted globals
-// layout carrying the given name prefix. Namespaced globals grow
-// lazily (first write), so the span is recomputed per call against the
-// current layout — a binary search plus a linear scan of the span.
-func (w *World) globalsSpan(prefix string) (int, int) {
-	if w.glay == nil {
-		return 0, 0
+// scratchFor returns the world's canonical-encoding scratch and its
+// resolution of the current globals layout. Namespaced globals grow
+// lazily (first write) and the sorted layout keeps each namespace
+// contiguous, so a span is a binary search plus a scan.
+func (w *World) scratchFor() (*symScratch, *symLayout) {
+	sc := w.symScratch
+	if sc == nil || sc.res != w.symRes {
+		sc = &symScratch{res: w.symRes, lays: make(map[*glayout]*symLayout)}
+		for _, grp := range w.symRes.groups {
+			for ri := range grp {
+				sc.reps = append(sc.reps, repCache{stamps: make([]uint64, 2*len(grp[ri].procs))})
+			}
+		}
+		w.symScratch = sc
 	}
-	names := w.glay.names
-	lo := sort.SearchStrings(names, prefix)
-	hi := lo
-	for hi < len(names) && strings.HasPrefix(names[hi], prefix) {
-		hi++
+	if lay := sc.lays[w.glay]; lay != nil {
+		return sc, lay
 	}
-	return lo, hi
+	lay := &symLayout{spans: make([]gspan, 0, len(sc.reps))}
+	if w.glay != nil {
+		lay.names = w.glay.names
+	}
+	for _, grp := range w.symRes.groups {
+		for ri := range grp {
+			lo := sort.SearchStrings(lay.names, grp[ri].prefix)
+			hi := lo
+			for hi < len(lay.names) && strings.HasPrefix(lay.names[hi], grp[ri].prefix) {
+				hi++
+			}
+			lay.spans = append(lay.spans, gspan{lo, hi})
+		}
+	}
+next:
+	for i := range lay.names {
+		for _, sp := range lay.spans {
+			if i >= sp.lo && i < sp.hi {
+				continue next
+			}
+		}
+		lay.rest = append(lay.rest, int32(i))
+	}
+	sc.lays[w.glay] = lay
+	return sc, lay
 }
 
 // encodeQueueLocal appends the queue encoding of one channel with
@@ -203,9 +261,9 @@ func (w *World) globalsSpan(prefix string) (int, int) {
 // message fields match Encode's fixed-width record.
 func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
 	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.Queue)))
+	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.queue)))
 	buf = append(buf, tmp[:2]...)
-	for _, m := range c.Queue {
+	for _, m := range c.queue {
 		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
 		buf = append(buf, tmp[:2]...)
 		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
@@ -231,13 +289,74 @@ func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
 	return buf
 }
 
+// encodeReplica brings rc.sub up to date with the replica's current
+// state: machines in role order, queues with replica-relative senders,
+// the globals of the replica's namespace (gnames, gvals: its span of
+// the layout and of the slab), and on timed worlds its armed timers.
+func (w *World) encodeReplica(rep *symReplicaRes, rc *repCache, gnames []string, gvals []int32) {
+	var tmp [4]byte
+	n := len(rep.procs)
+	kept := rc.keep > 0 && slices.Equal(rc.gvals, gvals)
+	for j := 0; kept && j < n; j++ {
+		pi := rep.procs[j]
+		kept = rc.stamps[j] == w.Procs[pi].M.Stamp() && rc.stamps[n+j] == w.Chans[pi].stamp
+	}
+	// As many globals as before; the same ones? Yes if this is the very
+	// stretch of names the cache saw. Otherwise compare: the layout may
+	// be a sibling (another namespace grew meanwhile, or this one did).
+	if kept && len(gnames) > 0 && &rc.gnames[0] != &gnames[0] {
+		kept = slices.Equal(rc.gnames, gnames)
+	}
+	sub := rc.sub[:rc.keep]
+	if !kept {
+		sub = sub[:0]
+		for j, pi := range rep.procs {
+			rc.stamps[j] = w.Procs[pi].M.Stamp()
+			sub = w.Procs[pi].M.Encode(sub)
+		}
+		for j, pi := range rep.procs {
+			rc.stamps[n+j] = w.Chans[pi].stamp
+			sub = w.encodeQueueLocal(sub, w.Chans[pi], rep.procs)
+		}
+		rc.gnames, rc.gvals = gnames, append(rc.gvals[:0], gvals...)
+		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(gnames)))
+		sub = append(sub, tmp[:2]...)
+		for i, name := range gnames {
+			sub = append(sub, name[len(rep.prefix):]...)
+			sub = append(sub, 0)
+			binary.LittleEndian.PutUint32(tmp[:4], uint32(gvals[i]))
+			sub = append(sub, tmp[:4]...)
+		}
+		rc.keep = len(sub)
+	}
+	// The replica's armed timers, in definition order, keyed by the
+	// replica-agnostic timer name plus the zone-relative window —
+	// identical bytes across corresponding replicas (timing.go requires
+	// corresponding timers to share names and per-replica declaration
+	// order).
+	if w.timing != nil {
+		for ti := range w.timers {
+			pi := int(w.timing.defProc[w.timers[ti].def])
+			for _, rp := range rep.procs {
+				if rp == pi {
+					d := &w.timing.defs[w.timers[ti].def]
+					sub = append(sub, d.Name...)
+					sub = append(sub, 0)
+					sub = w.encodeTimerRel(sub, &w.timers[ti])
+					break
+				}
+			}
+		}
+	}
+	rc.sub = sub
+}
+
 // EncodeCanonical appends the symmetry-canonical encoding of the world:
-// for each group, the replica sub-encodings (machines in role order,
-// queues with replica-relative senders, the replica's namespaced
-// globals span) are length-prefixed and sorted lexicographically, so
-// every permutation of a group's replicas encodes identically; the
-// non-replica machines, queues and globals follow positionally exactly
-// as in Encode. Without a symmetry descriptor it IS Encode.
+// for each group, the replica sub-encodings (encodeReplica) are
+// length-prefixed and sorted lexicographically, so every permutation of
+// a group's replicas encodes identically; the non-replica machines,
+// queues and globals follow positionally exactly as in Encode. Without
+// a symmetry descriptor it IS Encode.
 //
 // The hot-path contract matches Encode: memoized machine encodings, no
 // map iteration, no string building, and all working storage lives in
@@ -246,56 +365,13 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 	if w.sym == nil || w.symRes == nil {
 		return w.Encode(buf)
 	}
-	sc := w.symScratch
-	if sc == nil {
-		sc = &symScratch{}
-		w.symScratch = sc
-	}
+	sc, lay := w.scratchFor()
 	var tmp [4]byte
-	sc.spans = sc.spans[:0]
+	reps, spans := sc.reps, lay.spans
 	for _, grp := range w.symRes.groups {
-		for len(sc.subs) < len(grp) {
-			sc.subs = append(sc.subs, nil)
-		}
 		for ri := range grp {
-			rep := &grp[ri]
-			sub := sc.subs[ri][:0]
-			for _, pi := range rep.procs {
-				sub = w.Procs[pi].M.Encode(sub)
-			}
-			for _, pi := range rep.procs {
-				sub = w.encodeQueueLocal(sub, w.Chans[pi], rep.procs)
-			}
-			lo, hi := w.globalsSpan(rep.prefix)
-			sc.spans = append(sc.spans, gspan{lo, hi})
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(hi-lo))
-			sub = append(sub, tmp[:2]...)
-			for i := lo; i < hi; i++ {
-				sub = append(sub, w.glay.names[i][len(rep.prefix):]...)
-				sub = append(sub, 0)
-				binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-				sub = append(sub, tmp[:4]...)
-			}
-			// The replica's armed timers, in definition order, keyed by
-			// the replica-agnostic timer name plus the zone-relative
-			// window — identical bytes across corresponding replicas
-			// (timing.go requires corresponding timers to share names
-			// and per-replica declaration order).
-			if w.timing != nil {
-				for ti := range w.timers {
-					pi := int(w.timing.defProc[w.timers[ti].def])
-					for _, rp := range rep.procs {
-						if rp == pi {
-							d := &w.timing.defs[w.timers[ti].def]
-							sub = append(sub, d.Name...)
-							sub = append(sub, 0)
-							sub = w.encodeTimerRel(sub, &w.timers[ti])
-							break
-						}
-					}
-				}
-			}
-			sc.subs[ri] = sub
+			sp := spans[ri]
+			w.encodeReplica(&grp[ri], &reps[ri], lay.names[sp.lo:sp.hi], w.gvals[sp.lo:sp.hi])
 		}
 		// Insertion-sort the replica order by sub-encoding bytes — the
 		// canonicalization step. Group sizes are small (one entry per
@@ -303,7 +379,7 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		order := sc.order[:0]
 		for i := range grp {
 			j := len(order)
-			for j > 0 && bytes.Compare(sc.subs[order[j-1]], sc.subs[i]) > 0 {
+			for j > 0 && bytes.Compare(reps[order[j-1]].sub, reps[i].sub) > 0 {
 				j--
 			}
 			order = append(order, 0)
@@ -312,10 +388,11 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		}
 		sc.order = order
 		for _, ri := range order {
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(sc.subs[ri])))
+			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(reps[ri].sub)))
 			buf = append(buf, tmp[:4]...)
-			buf = append(buf, sc.subs[ri]...)
+			buf = append(buf, reps[ri].sub...)
 		}
+		reps, spans = reps[len(grp):], spans[len(grp):]
 	}
 	for _, pi := range w.symRes.rest {
 		buf = w.Procs[pi].M.Encode(buf)
@@ -324,32 +401,10 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		buf = w.encodeQueueLocal(buf, w.Chans[pi], nil)
 	}
 	// Non-replica globals: the complement of the namespaced spans.
-	nglob := 0
-	if w.glay != nil {
-		nglob = len(w.glay.names)
-	}
-	spans := sc.spans
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && spans[j-1].lo > spans[j].lo; j-- {
-			spans[j-1], spans[j] = spans[j], spans[j-1]
-		}
-	}
-	rest := nglob
-	for _, s := range spans {
-		rest -= s.hi - s.lo
-	}
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(rest))
+	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(lay.rest)))
 	buf = append(buf, tmp[:2]...)
-	si := 0
-	for i := 0; i < nglob; i++ {
-		for si < len(spans) && i >= spans[si].hi {
-			si++
-		}
-		if si < len(spans) && i >= spans[si].lo {
-			i = spans[si].hi - 1
-			continue
-		}
-		buf = append(buf, w.glay.names[i]...)
+	for _, i := range lay.rest {
+		buf = append(buf, lay.names[i]...)
 		buf = append(buf, 0)
 		binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
 		buf = append(buf, tmp[:4]...)
@@ -377,7 +432,7 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 	return buf
 }
 
-// CanonicalHash returns the FNV-64a digest of the symmetry-canonical
+// CanonicalHash returns the hash64 digest of the symmetry-canonical
 // encoding (EncodeCanonical), equal for permutation-equivalent worlds.
 func (w *World) CanonicalHash() uint64 {
 	h, _ := w.AppendCanonicalHash(nil)
@@ -385,15 +440,9 @@ func (w *World) CanonicalHash() uint64 {
 }
 
 // AppendCanonicalHash is AppendHash over the symmetry-canonical
-// encoding: it encodes into buf[:0] and returns the FNV-64a digest plus
+// encoding: it encodes into buf[:0] and returns the hash64 digest plus
 // the reused buffer.
 func (w *World) AppendCanonicalHash(buf []byte) (uint64, []byte) {
 	buf = w.EncodeCanonical(buf[:0])
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, buf
+	return hash64(buf), buf
 }

@@ -170,11 +170,10 @@ func permuteSymWorld(t testing.TB, w *World, n int, perm []int) *World {
 			dp.M.SetVar(name, sp.M.Var(name))
 		}
 		sc, dc := w.Chan(sp.Name), pw.Chan(dp.Name)
-		dc.Queue = dc.Queue[:0]
-		for _, m := range sc.Queue {
+		for _, m := range sc.Messages() {
 			m.From = rename(m.From)
 			m.To = rename(m.To)
-			dc.Queue = append(dc.Queue, m)
+			dc.Push(m)
 		}
 	}
 	for name, v := range w.GlobalsMap() {
@@ -312,7 +311,7 @@ func TestCanonicalDistinguishesNonEquivalent(t *testing.T) {
 
 	// And queued messages: an in-flight intra-replica ack.
 	w7 := fresh()
-	w7.Chan(symDevName(1)).Queue = append(w7.Chan(symDevName(1)).Queue,
+	w7.Chan(symDevName(1)).Push(
 		types.Message{Kind: types.MsgPowerOn, From: symPeerName(1), To: symDevName(1)})
 	if bytes.Equal(base.EncodeCanonical(nil), w7.EncodeCanonical(nil)) {
 		t.Fatal("queued message not reflected in canonical encoding")

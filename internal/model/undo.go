@@ -17,7 +17,7 @@ import (
 // state.
 type Undo struct {
 	machines []fsm.MachineUndo
-	queues   [][]types.Message
+	queues   []queueUndo
 	glay     *glayout
 	gvals    []int32
 	// now/timers snapshot the virtual clock and armed-timer set. The
@@ -25,6 +25,11 @@ type Undo struct {
 	// ScaleTimerBounds does, outside the search).
 	now    int64
 	timers []armedTimer
+}
+
+type queueUndo struct {
+	stamp uint64
+	msgs  []types.Message
 }
 
 // Save records the world's complete logical state into u.
@@ -37,11 +42,12 @@ func (w *World) Save(u *Undo) {
 		w.machines[i].Save(&u.machines[i])
 	}
 	for len(u.queues) < len(w.chans) {
-		u.queues = append(u.queues, nil)
+		u.queues = append(u.queues, queueUndo{})
 	}
 	u.queues = u.queues[:len(w.chans)]
 	for i := range w.chans {
-		u.queues[i] = append(u.queues[i][:0], w.chans[i].Queue...)
+		q := &u.queues[i]
+		q.stamp, q.msgs = w.chans[i].stamp, append(q.msgs[:0], w.chans[i].queue...)
 	}
 	u.glay = w.glay
 	u.gvals = append(u.gvals[:0], w.gvals...)
@@ -49,14 +55,21 @@ func (w *World) Save(u *Undo) {
 	u.timers = append(u.timers[:0], w.timers...)
 }
 
-// Restore rewinds the world to a Save point. The snapshot remains
-// valid, so one Save can back out any number of applied steps in turn.
+// Restore rewinds the world to a Save point taken on this world. The
+// snapshot remains valid, so one Save can back out any number of
+// applied steps in turn. The cost follows what the steps touched: a
+// machine or queue still carrying its saved stamp is left alone, a
+// changed one gets the saved content and stamp back. Globals and timers
+// are a few words and are copied every time.
 func (w *World) Restore(u *Undo) {
 	for i := range w.machines {
 		w.machines[i].Restore(&u.machines[i])
 	}
 	for i := range w.chans {
-		w.chans[i].Queue = append(w.chans[i].Queue[:0], u.queues[i]...)
+		if c, q := &w.chans[i], &u.queues[i]; c.stamp != q.stamp {
+			c.queue = append(c.queue[:0], q.msgs...)
+			c.stamp = q.stamp
+		}
 	}
 	w.glay = u.glay
 	w.gvals = append(w.gvals[:0], u.gvals...)

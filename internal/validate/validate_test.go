@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -166,4 +167,32 @@ func TestReplayS2(t *testing.T) {
 		t.Fatal("no S2 counterexample reproduced")
 	}
 	t.Logf("S2: %d/%d counterexamples reproduced", reproduced, len(r.Result.Violations))
+}
+
+// Every Replay builds a fresh emulator stack with fresh protocol specs.
+// Nothing may keep those reachable once the replay returns: a package-
+// level cache keyed by *fsm.Spec once pinned ~119 KB per replay, which
+// put a 1,152-replay loss sweep at a 1.1 GB heap.
+func TestReplayRetainsNothing(t *testing.T) {
+	v := screenFirst(t, core.S1World(false))
+	replay := func() {
+		if _, err := Replay(core.S1, v, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	replay() // interned names and other one-off set-up
+	const n = 200
+	before := live()
+	for i := 0; i < n; i++ {
+		replay()
+	}
+	if grown := int64(live()-before) / n; grown > 5<<10 {
+		t.Fatalf("live heap grew %d B per replay over %d replays, want < 5 KB", grown, n)
+	}
 }

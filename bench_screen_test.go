@@ -115,8 +115,9 @@ func BenchmarkScreenMultiUEShared(b *testing.B) {
 	}
 }
 
-// BenchmarkScreenWorkers measures the widest scoped world (S6) under
-// the work-stealing frontier engine as the worker count grows.
+// BenchmarkScreenWorkers measures the widest scoped world (S6) as the
+// worker count grows: sequential DFS at 1, the layered breadth-first
+// engine above.
 func BenchmarkScreenWorkers(b *testing.B) {
 	s := core.S6World(false)
 	for _, workers := range []int{1, 4, 8} {

@@ -336,10 +336,10 @@ func BenchmarkAblation_ShimRTO(b *testing.B) {
 	}
 }
 
-// BenchmarkChecker_ParallelWorkers measures the work-stealing frontier
-// engine on the S6 world (the largest scoped state space) as the worker
-// count grows — the headline scaling number for the parallel engine.
-// Workers=1 is the sequential baseline.
+// BenchmarkChecker_ParallelWorkers measures the S6 world (the largest
+// scoped state space) as the worker count grows. Workers=1 is
+// sequential DFS; more workers run the layered breadth-first engine,
+// which applies fewer transitions for the same states.
 func BenchmarkChecker_ParallelWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -89,7 +89,20 @@ for world in s1 s2 s3 s4cs s4ps s6 multiue multiue-shared; do
         done
     done
 done
-rm -f /tmp/cnetverify.$$ /tmp/viol_ref.$$ /tmp/viol_timed.$$
+rm -f /tmp/viol_ref.$$ /tmp/viol_timed.$$
+echo ok
+
+echo "== layered-engine gate (bfs summary line — states, transitions, verdict — byte-identical at 1, 2 and 8 workers) =="
+for args in "-world multiue-shared" "-world s6" "-world s1 -timing"; do
+    # shellcheck disable=SC2086 # $args is intentionally word-split
+    /tmp/cnetverify.$$ $args -strategy bfs -workers 1 >/tmp/sum_w1.$$
+    for w in 2 8; do
+        # shellcheck disable=SC2086
+        /tmp/cnetverify.$$ $args -strategy bfs -workers "$w" >/tmp/sum_wn.$$
+        cmp /tmp/sum_w1.$$ /tmp/sum_wn.$$
+    done
+done
+rm -f /tmp/cnetverify.$$ /tmp/sum_w1.$$ /tmp/sum_wn.$$
 echo ok
 
 echo "== hash-compaction gate (shared-core 3-UE world: -compact keeps the violation set at screening scale) =="
@@ -103,7 +116,7 @@ echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative
 go test -race -run 'TestVTable' ./internal/check
 
 echo "== alloc budgets (flat visited table, canonical hashing and apply/undo stay on the alloc-free hot path) =="
-go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget' ./internal/core
+go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget|TestParallelAllocBudget' ./internal/core
 go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree' ./internal/model
 
 echo "== delta-state race leg (stamped undo + replica cache, two worlds sharing one globals layout) =="
@@ -114,6 +127,9 @@ go test -race ./internal/netemu ./internal/emu ./internal/fixes
 
 echo "== go test -race (parallel engine + determinism suite) =="
 go test -race ./internal/check ./internal/core
+
+echo "== go test -race x5 (layered engine: chunk claims, layer barrier, mid-layer stop; ~3 min a pass) =="
+go test -race -count=5 -timeout 30m -run 'TestParallel' ./internal/check
 
 echo "== go test -race (sweep campaign engine) =="
 go test -race ./internal/validate

@@ -58,12 +58,17 @@
 // heap profile is taken after the run, post-GC); feed them to
 // `go tool pprof` when hunting screening hot spots.
 //
-// -workers sets the exploration goroutines per world (the work-stealing
-// engine; 1 = sequential). -parallel screens that many worlds
-// concurrently. -budget shares one pool of distinct-state tokens across
-// the whole campaign. -first cancels everything at the first violation.
-// Parallel runs report the same violation sets and coverage as
-// sequential runs (see DESIGN.md, determinism contract).
+// -workers sets the exploration goroutines per world (1 = sequential).
+// With more than one, dfs and bfs both run the layered breadth-first
+// engine, whatever -strategy says: states and violation sets are those
+// of any sequential run, and transitions are exactly those of
+// -strategy bfs -workers 1 — fewer than dfs reports, which re-expands
+// states it later reaches by a shorter path. (A world whose initial
+// state enables a single step is not worth sharing out and runs
+// sequentially in the strategy asked for.) -parallel screens that many
+// worlds concurrently. -budget shares one pool of distinct-state tokens
+// across the whole campaign. -first cancels everything at the first
+// violation. See DESIGN.md, determinism contract.
 //
 // Each world passes through the internal/lint structural gate before
 // exploration; -skip-lint bypasses the gate (see cmd/cnetlint for the
@@ -108,7 +113,7 @@ func main() {
 		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, arena bytes) and the process memory high-water mark")
 		timing   = flag.Bool("timing", false, "discrete virtual time: model periodic protocol timers as first-class [earliest, latest] expiry windows (see -timing-profile)")
 		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening — the ci.sh differential gate)")
-		workers  = flag.Int("workers", 1, "exploration workers per world (>1 = parallel engine)")
+		workers  = flag.Int("workers", 1, "exploration workers per world (>1 = layered breadth-first engine for dfs and bfs alike; walk splits its walks)")
 		parallel = flag.Int("parallel", 1, "worlds screened concurrently")
 		budget   = flag.Int("budget", 0, "shared distinct-state budget across the campaign (0 = none)")
 		first    = flag.Bool("first", false, "cancel the whole campaign at the first violation")

@@ -13,7 +13,9 @@
 //
 //   - DFS: bounded-depth depth-first search with visited-state
 //     deduplication (the default; mirrors Spin's search).
-//   - BFS: breadth-first search, producing shortest counterexamples.
+//   - BFS: level-synchronous breadth-first search (parallel.go),
+//     producing shortest counterexamples and expanding every state
+//     exactly once. Options.Workers > 1 always searches this way.
 //   - RandomWalk: seeded random schedule sampling, the paper's approach
 //     for scenario spaces too large to enumerate.
 package check
@@ -76,7 +78,12 @@ func (s Strategy) String() string {
 
 // Options bounds and configures a checking run.
 type Options struct {
-	// Strategy selects DFS (default), BFS or RandomWalk.
+	// Strategy selects DFS (default), BFS or RandomWalk. DFS and BFS
+	// visit the same states and report the same violation set; they
+	// differ in order — and so in Transitions (DFS re-expands a state
+	// it later reaches by a shorter path), MaxDepth, Truncated and
+	// counterexample length. With Workers > 1 both run the
+	// breadth-first layered engine.
 	Strategy Strategy
 	// MaxDepth bounds the length of explored paths (default 64).
 	MaxDepth int
@@ -120,12 +127,14 @@ type Options struct {
 	Walks int
 	Seed  int64
 	// Workers sets the number of exploration goroutines. 0 or 1 runs
-	// the sequential engine; >1 runs the work-stealing frontier search
-	// (DFS/BFS) or splits the walks (RandomWalk). Parallel runs report
-	// the same state count, violation set and transition coverage as
-	// sequential runs of the same world (see the determinism contract
-	// in DESIGN.md); counterexample paths are re-verified with Replay
-	// before being reported.
+	// sequentially; >1 runs the layered breadth-first search on that
+	// many workers (DFS or BFS, whichever is asked for) or splits the
+	// walks (RandomWalk). A layered run reports exactly what Strategy
+	// BFS with one worker reports, counts included (the determinism
+	// contract in parallel.go says what is exact and what is not);
+	// counterexample paths are re-verified with Replay before being
+	// reported. A world whose initial state enables fewer than two
+	// steps runs sequentially in the strategy asked for.
 	Workers int
 	// POR enables independence-powered partial-order reduction for the
 	// DFS/BFS strategies (RandomWalk ignores it: sampled schedules are
@@ -210,7 +219,7 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers == 0 {
+	if o.Workers < 1 {
 		o.Workers = 1
 	}
 	return o
@@ -235,21 +244,30 @@ func (v Violation) String() string {
 type Result struct {
 	// States counts distinct states visited (by hash).
 	States int
-	// Transitions counts steps applied.
+	// Transitions counts steps applied. The layered engine (BFS, or
+	// Workers > 1) expands every state once, so the count is the same
+	// at every worker count; sequential DFS also counts its min-depth
+	// re-expansions.
 	Transitions int
-	// MaxDepth is the deepest path length reached.
+	// MaxDepth is the deepest path length reached: under the layered
+	// engine the depth of the last non-empty layer (the largest minimal
+	// depth of any state), under DFS the longest path walked.
 	MaxDepth int
-	// Truncated reports whether a bound (depth/state cap) cut the
-	// exploration short.
+	// Truncated reports whether the exploration was cut short: a path
+	// reached Options.MaxDepth with states still to expand, MaxStates
+	// or the Budget refused a state, or Cancel fired. The layered
+	// engine reaches the depth bound only when a state's minimal depth
+	// does; DFS also when it merely walks a long path to it.
 	Truncated bool
 	// Violations holds one entry per distinct (property, description)
 	// pair, each with a replayable counterexample. Sequential runs list
 	// them in discovery order; parallel runs (Workers > 1) in canonical
 	// order (property, description, path length, path). The set of
-	// entries is deterministic for a given world+options; the
-	// counterexample chosen for an entry may differ between parallel
-	// runs (whichever worker reached the violating state first), but
-	// is always re-verified with Replay before being reported.
+	// entries, and under the layered engine each entry's path length,
+	// is deterministic for a given world+options; which of several
+	// equally short paths is reported may differ between parallel runs
+	// (whichever worker reached the violating state first), but it is
+	// always re-verified with Replay before being reported.
 	Violations []Violation
 	// Covered counts, per "proc/transition-label", how often each
 	// protocol transition fired during exploration — the model-side
@@ -259,8 +277,8 @@ type Result struct {
 	// Misrouted and Dropped count messages lost while applying steps:
 	// sends to a process absent from the (scoped) world and sends
 	// discarded at a full inbox (model.Stats). Like Transitions they
-	// tally work, not state-space structure, so parallel runs may count
-	// a transition's losses once per exploration of it.
+	// tally work: once per application of the losing step, so DFS
+	// counts a re-expanded state's losses again.
 	Misrouted int
 	Dropped   int
 	// Omission is the hash-compaction soundness bound (Options.
@@ -295,12 +313,6 @@ func (r *Result) ViolationsOf(property string) []Violation {
 		}
 	}
 	return out
-}
-
-type node struct {
-	w     *model.World
-	path  *pathNode
-	depth int
 }
 
 // violKey identifies a distinct violation. A comparable struct key —
@@ -371,30 +383,26 @@ func degradeParallel(w *model.World, sc Scenario, opt Options) bool {
 }
 
 // dispatch routes an already-defaulted, already-prescreened run to its
-// exploration engine.
+// exploration engine: sequential DFS to runDFS; BFS, and either search
+// strategy on more than one worker, to the layered frontier engine.
 func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	var res *Result
-	var err error
 	switch opt.Strategy {
 	case DFS, BFS:
-		switch {
-		case opt.Workers > 1 && !degradeParallel(w, sc, opt):
-			res, err = runParallelSearch(w, props, sc, opt)
-		case opt.Strategy == DFS:
-			res, err = runDFS(w, props, sc, opt)
-		default:
-			res, err = runSearch(w, props, sc, opt)
+		if degradeParallel(w, sc, opt) {
+			opt.Workers = 1
 		}
+		if opt.Strategy == DFS && opt.Workers == 1 {
+			return runDFS(w, props, sc, opt)
+		}
+		return runLayered(w, props, sc, opt)
 	case RandomWalk:
 		if opt.Workers > 1 {
-			res, err = runParallelWalk(w, props, sc, opt)
-		} else {
-			res, err = runRandomWalk(w, props, sc, opt)
+			return runParallelWalk(w, props, sc, opt)
 		}
+		return runRandomWalk(w, props, sc, opt)
 	default:
 		return nil, fmt.Errorf("check: unknown strategy %v", opt.Strategy)
 	}
-	return res, err
 }
 
 // coverage tallies fired transitions by (process index, transition
@@ -552,80 +560,6 @@ func runDFS(w0 *model.World, props []Property, sc Scenario, opt Options) (*Resul
 	return res, nil
 }
 
-func runSearch(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	res := &Result{Covered: make(map[string]int)}
-	visited := newVisitedSet(opt)
-	seenViol := make(map[violKey]struct{})
-	var buf []byte
-	var arena stepArena
-	var steps []model.Step
-	var undo model.Undo
-
-	root := &node{w: w0.Clone()}
-	var err error
-	if _, buf, err = markVisited(visited, root.w, 0, buf); err != nil {
-		return nil, err
-	}
-
-	// frontier is used as a LIFO stack for DFS and FIFO queue for BFS.
-	frontier := []*node{root}
-	for len(frontier) > 0 {
-		if opt.Cancel.Cancelled() {
-			res.Truncated = true
-			break
-		}
-		var n *node
-		if opt.Strategy == BFS {
-			n = frontier[0]
-			frontier = frontier[1:]
-		} else {
-			n = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		}
-		if n.depth > res.MaxDepth {
-			res.MaxDepth = n.depth
-		}
-		if n.depth >= opt.MaxDepth {
-			res.Truncated = true
-			continue
-		}
-		// Apply/undo on the node's own world; only a transition that
-		// discovers (or shallower-rediscovers) a state clones.
-		steps = n.w.StepsAppend(steps[:0], sc.Events(n.w))
-		n.w.Save(&undo)
-		for _, s := range steps {
-			applied, err := n.w.Apply(s)
-			if err != nil {
-				return nil, fmt.Errorf("check: apply %v: %w", s, err)
-			}
-			res.Transitions++
-			res.Misrouted += applied.Misrouted
-			res.Dropped += applied.Dropped
-			if applied.Label != "" {
-				res.Covered[applied.Proc+"/"+applied.Label]++
-			}
-			path := arena.append(n.path, applied)
-			if violated := checkPropsNode(n.w, applied, path, props, seenViol, res); violated && opt.StopAtFirst {
-				finishVisited(res, visited)
-				return res, nil
-			}
-			var mark markResult
-			if mark, buf, err = markVisited(visited, n.w, n.depth+1, buf); err != nil {
-				return nil, err
-			}
-			switch {
-			case mark.capped:
-				res.Truncated = true
-			case mark.expand:
-				frontier = append(frontier, &node{w: n.w.Clone(), path: path, depth: n.depth + 1})
-			}
-			n.w.Restore(&undo)
-		}
-	}
-	finishVisited(res, visited)
-	return res, nil
-}
-
 // finishVisited copies the visited set's final accounting into the
 // result: state count, compaction omission bound and table
 // diagnostics.
@@ -751,31 +685,6 @@ func checkProps(w *model.World, last model.Step, path []model.Step, props []Prop
 			Property: p.Name(),
 			Desc:     desc,
 			Path:     clonePath(path),
-		})
-	}
-	return violated
-}
-
-// checkPropsNode is checkProps for the frontier engines, whose paths
-// are parent-pointer chains: the counterexample materializes only when
-// a violation is actually new.
-func checkPropsNode(w *model.World, last model.Step, tail *pathNode, props []Property, seen map[violKey]struct{}, res *Result) bool {
-	violated := false
-	for _, p := range props {
-		desc := p.Check(w, last)
-		if desc == "" {
-			continue
-		}
-		violated = true
-		key := violKey{p.Name(), desc}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		res.Violations = append(res.Violations, Violation{
-			Property: p.Name(),
-			Desc:     desc,
-			Path:     materializePath(tail),
 		})
 	}
 	return violated

@@ -7,11 +7,14 @@ package check_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"cnetverifier/internal/check"
 	"cnetverifier/internal/core"
+	"cnetverifier/internal/model"
 )
 
 // violationKeys extracts the sorted (property, description) set of a
@@ -28,12 +31,19 @@ func violationKeys(res *check.Result) []string {
 }
 
 // TestParallelDeterminism asserts the engine's determinism contract on
-// every standard world: a sequential run and parallel runs with 1, 2
-// and 8 workers agree on the distinct-state count, the violation set
-// and the per-process spec coverage.
+// every standard world plus the 3-UE shared-core world: a sequential
+// run and parallel runs with 1, 2 and 8 workers agree on the
+// distinct-state count, the violation set and the per-process spec
+// coverage; and on the search worlds the runs with 2 and 8 workers
+// equal sequential BFS on everything that counts work — transitions,
+// depth, truncation, message losses and per-transition coverage counts
+// (a world whose root enables a single step degrades to the sequential
+// engine of the strategy its options ask for, DFS, and equals that).
 func TestParallelDeterminism(t *testing.T) {
-	for _, name := range core.WorldNames() {
-		s := core.StandardWorlds(false)[name]
+	worlds := core.StandardWorlds(false)
+	worlds["multiue-shared3"] = core.MultiUEWorldShared(3, false)
+	for _, name := range append(core.WorldNames(), "multiue-shared3") {
+		s := worlds[name]
 		t.Run(name, func(t *testing.T) {
 			base, err := core.Screen(s, check.Options{})
 			if err != nil {
@@ -41,6 +51,21 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			wantKeys := violationKeys(base.Result)
 			wantCov := check.SpecCoverage(s.World, base.Result)
+
+			var seq *check.Result
+			switch {
+			case s.Options.Strategy == check.RandomWalk:
+			case len(s.World.Steps(s.Scenario.Events(s.World))) < 2:
+				seq = base.Result
+			default:
+				opt := s.Options
+				opt.Strategy, opt.Workers = check.BFS, 1
+				r, err := core.Screen(s, opt)
+				if err != nil {
+					t.Fatalf("sequential BFS screen: %v", err)
+				}
+				seq = r.Result
+			}
 
 			for _, workers := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -59,9 +84,132 @@ func TestParallelDeterminism(t *testing.T) {
 					if got := check.SpecCoverage(s.World, r.Result); !reflect.DeepEqual(got, wantCov) {
 						t.Errorf("spec coverage mismatch:\n got %+v\nwant %+v", got, wantCov)
 					}
+					if seq == nil || workers == 1 {
+						return
+					}
+					got, want := *r.Result, *seq
+					if got.Transitions != want.Transitions || got.MaxDepth != want.MaxDepth || got.Truncated != want.Truncated ||
+						got.Misrouted != want.Misrouted || got.Dropped != want.Dropped {
+						t.Errorf("transitions/depth/truncated/misrouted/dropped = %d/%d/%v/%d/%d, sequential run has %d/%d/%v/%d/%d",
+							got.Transitions, got.MaxDepth, got.Truncated, got.Misrouted, got.Dropped,
+							want.Transitions, want.MaxDepth, want.Truncated, want.Misrouted, want.Dropped)
+					}
+					if !reflect.DeepEqual(got.Covered, want.Covered) {
+						t.Errorf("coverage counts differ from the sequential run:\n got %v\nwant %v", got.Covered, want.Covered)
+					}
 				})
 			}
 		})
+	}
+}
+
+// TestSequentialBFSPins pins Strategy BFS at one worker on the six
+// finding worlds to the values the queue-based BFS engine reported
+// before the layered engine replaced it, so the one-worker path is
+// known to be that search and not merely self-consistent.
+func TestSequentialBFSPins(t *testing.T) {
+	type pin struct{ states, transitions, maxDepth, firstPath int }
+	pins := map[string]pin{
+		"s1":   {457, 1115, 18, 10},
+		"s2":   {2700, 17272, 14, 6},
+		"s3":   {2370, 8544, 24, 15},
+		"s4cs": {80, 125, 15, 3},
+		"s4ps": {34, 58, 9, 5},
+		"s6":   {6166, 20359, 20, 11},
+	}
+	for name, want := range pins {
+		s := core.StandardWorlds(false)[name]
+		opt := s.Options
+		opt.Strategy = check.BFS
+		r, err := core.Screen(s, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(r.Result.Violations) == 0 {
+			t.Errorf("%s: no violation", name)
+			continue
+		}
+		got := pin{r.Result.States, r.Result.Transitions, r.Result.MaxDepth, len(r.Result.Violations[0].Path)}
+		if got != want {
+			t.Errorf("%s: (states, transitions, max depth, first counterexample length) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestParallelStopAtFirstShortest: a layer is finished before the next
+// starts, so whichever worker trips StopAtFirst does so in the first
+// layer that holds a violation — the counterexample is as short as
+// sequential BFS's.
+func TestParallelStopAtFirstShortest(t *testing.T) {
+	for _, s := range []core.Scoped{core.S6World(false), core.MultiUEWorldShared(3, false)} {
+		opt := s.Options
+		opt.StopAtFirst = true
+		opt.Strategy = check.BFS
+		bfs, err := core.Screen(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Strategy, opt.Workers = check.DFS, 4
+		par, err := core.Screen(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bfs.Result.Violations) == 0 || len(par.Result.Violations) == 0 {
+			t.Fatalf("%s: StopAtFirst found %d violations sequentially, %d with 4 workers",
+				s.Finding, len(bfs.Result.Violations), len(par.Result.Violations))
+		}
+		want := len(bfs.Result.Violations[0].Path)
+		for _, v := range par.Result.Violations {
+			if len(v.Path) > want {
+				t.Errorf("%s: 4 workers stopped on a %d-step counterexample, BFS finds one of %d", s.Finding, len(v.Path), want)
+			}
+		}
+	}
+}
+
+// cancelAfter is a monitor that never reports a violation and fires a
+// Cancel on its at-th evaluation, i.e. from inside a worker, mid-layer.
+type cancelAfter struct {
+	calls  atomic.Int64
+	at     int64
+	cancel *check.Cancel
+}
+
+func (p *cancelAfter) Name() string { return "CancelAfter" }
+
+func (p *cancelAfter) Check(*model.World, model.Step) string {
+	if p.calls.Add(1) == p.at {
+		p.cancel.Cancel()
+	}
+	return ""
+}
+
+// TestParallelCancelMidLayer cancels a 4-worker run from inside a wide
+// layer: the run returns a truncated partial result, and returns only
+// after every worker goroutine has.
+func TestParallelCancelMidLayer(t *testing.T) {
+	s := core.MultiUEWorldShared(3, false) // 201,144 transitions when run to the end
+	cancel := &check.Cancel{}
+	opt := s.Options
+	opt.Workers = 4
+	opt.Cancel = cancel
+	props := append(append([]check.Property(nil), s.Props...), &cancelAfter{at: 50000, cancel: cancel})
+
+	before := runtime.NumGoroutine()
+	res, err := check.Run(s.World, props, s.Scenario, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the run, %d after it returned", before, after)
+	}
+	if !res.Truncated {
+		t.Error("cancelled run not marked truncated")
+	}
+	// Each worker finishes at most the node it is on, a few dozen
+	// transitions, before it sees the flag.
+	if res.Transitions < 50000 || res.Transitions > 51000 {
+		t.Errorf("cancelled at transition 50000, run applied %d", res.Transitions)
 	}
 }
 

@@ -2,95 +2,57 @@ package check
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cnetverifier/internal/model"
 )
 
-// This file implements the parallel exploration engines (Options.
-// Workers > 1): a work-stealing frontier search for DFS/BFS and a
-// walk-splitting driver for RandomWalk.
+// This file implements the layered frontier engine — the breadth-first
+// search behind Strategy BFS at any worker count and behind every
+// DFS/BFS run with Options.Workers > 1 — and the walk-splitting driver
+// for parallel RandomWalk.
 //
-// Determinism contract (asserted by TestParallelDeterminism): for the
-// same world and options, parallel and sequential runs agree on the
-// distinct-state count, the violation set (property, description
-// pairs) and the set of covered transitions, because
+// The search is level-synchronous: the frontier is one slice holding
+// every state first reached at the current depth. Workers claim
+// layerChunk-sized runs of it through an atomic cursor, expand each
+// node in place (Save/Apply/mark/Restore) into worker-private next
+// slices, tallies, coverage matrix and world free list, and the next
+// slices are concatenated into the following layer at a barrier. With
+// one worker that is exactly the FIFO order of a sequential BFS.
 //
-//   - the visited set tracks the minimal discovery depth of every
-//     state and re-expands on shallower rediscovery, so the set of
-//     states expanded within MaxDepth is an order-independent fixpoint;
-//   - random walks derive their RNG stream from (Seed, walk index),
-//     not from a shared stream, so the sampled schedules are the same
-//     however walks land on workers.
+// Determinism contract (asserted by TestParallelDeterminism). A layer
+// is complete before the next one starts, so every state is claimed in
+// the visited table at its minimal depth and expanded exactly once,
+// whichever worker gets there first. For the same world and options
+// these are therefore the same numbers at every worker count:
 //
-// Quantities that tally work rather than describe the state space
-// (Transitions, Covered counts, MaxDepth under truncation) may vary
-// with scheduling. Every reported counterexample is re-verified with
-// Replay before the result is returned.
+//   - States, Transitions, MaxDepth, Truncated, Misrouted, Dropped and
+//     the Covered counts;
+//   - the violation set (property, description pairs) and the length
+//     of each counterexample — a violation is captured in the first
+//     layer that shows it.
+//
+// What is not: which of several equally short paths a racing worker
+// captures for a violation (one worker always captures BFS's); the
+// state set, and with it everything above, once MaxStates or a shared
+// Budget refuses states — which ones are refused depends on claim
+// order; and the tallies of a run cut short by StopAtFirst or Cancel.
+// Random walks derive their RNG stream from (Seed, walk index), so the
+// sampled schedules are the same however walks land on workers. Every
+// counterexample handed across goroutines is re-verified with Replay
+// before the result is returned.
 
-// localQueueCap bounds each worker's private frontier queue. When an
-// expansion pushes past the cap, the oldest (shallowest) half moves to
-// the shared overflow queue where idle workers pick it up — bounding
-// per-worker memory spikes and spreading work without fine-grained
-// stealing traffic on every push.
-const localQueueCap = 1024
+// layerChunk is the number of frontier nodes a worker claims at a time.
+// A layer no wider than one chunk runs inline on the caller: the small
+// worlds (a few hundred states) never start a goroutine.
+const layerChunk = 64
 
-// deque is a mutex-guarded double-ended work queue. The owner pushes
-// and pops at the tail (depth-first order, keeping its cache hot);
-// thieves steal from the head, taking the shallowest — widest — nodes.
-type deque struct {
-	mu    sync.Mutex
-	items []*node
-}
-
-// push appends at the tail and returns the overflow batch (oldest
-// half) when the queue exceeds localQueueCap.
-func (d *deque) push(n *node) []*node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.items = append(d.items, n)
-	if len(d.items) <= localQueueCap {
-		return nil
-	}
-	half := len(d.items) / 2
-	over := append([]*node(nil), d.items[:half]...)
-	d.items = append(d.items[:0], d.items[half:]...)
-	return over
-}
-
-// pop removes from the tail (owner side).
-func (d *deque) pop() *node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	n := d.items[len(d.items)-1]
-	d.items[len(d.items)-1] = nil
-	d.items = d.items[:len(d.items)-1]
-	return n
-}
-
-// steal removes from the head (thief side).
-func (d *deque) steal() *node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	n := d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	return n
-}
-
-// pushAll appends a batch at the tail.
-func (d *deque) pushAll(ns []*node) {
-	d.mu.Lock()
-	d.items = append(d.items, ns...)
-	d.mu.Unlock()
+// node is one frontier entry: a state awaiting expansion and the path
+// that first reached it. Its depth is its layer's.
+type node struct {
+	w    *model.World
+	path *pathNode
 }
 
 // lockedScenario serializes Events calls so stochastic scenarios (the
@@ -108,30 +70,16 @@ func (l *lockedScenario) Events(w *model.World) []model.EnvEvent {
 	return l.base.Events(w)
 }
 
-// engine is the shared state of one parallel frontier search.
+// engine is the state of one layered search that its workers share.
 type engine struct {
 	opt     Options
 	sc      Scenario
 	props   []Property
 	visited *visitedSet
 
-	queues   []*deque
-	overflow deque
-	// pending counts nodes queued or being expanded; the search is
-	// complete when it reaches zero.
-	pending atomic.Int64
-	stop    atomic.Bool
-
-	transitions atomic.Int64
-	misrouted   atomic.Int64
-	dropped     atomic.Int64
-	maxDepth    atomic.Int64
-	truncated   atomic.Bool
-
-	// pool recycles worlds between expansions: a dequeued node's world
-	// goes back once expanded, and children draw from the pool and are
-	// refreshed with CloneInto, reusing slabs and queue capacity.
-	pool sync.Pool
+	// stop ends the search early: StopAtFirst hit a violation, Cancel
+	// fired, or a worker failed.
+	stop atomic.Bool
 
 	violMu     sync.Mutex
 	seenViol   map[violKey]struct{}
@@ -150,150 +98,102 @@ func (e *engine) setErr(err error) {
 	e.stop.Store(true)
 }
 
-func (e *engine) getWorld() *model.World {
-	if w, ok := e.pool.Get().(*model.World); ok {
+// layerWorker is one worker's private state, kept across layers: the
+// scratch every expansion reuses (hashing buffer, step slice, apply/
+// undo journal), the path arena, the successors found in the current
+// layer, recycled worlds, and plain tallies summed after the search.
+// Arena nodes are read by other workers in later layers (the barrier
+// is the fence) but only the owner appends.
+type layerWorker struct {
+	e *engine
+
+	buf   []byte
+	steps []model.Step
+	undo  model.Undo
+	arena stepArena
+	next  []node
+	// free recycles worlds: an expanded node's world is refreshed with
+	// CloneInto for a later successor, reusing its slabs and queues.
+	free []*model.World
+
+	cov                             *coverage
+	transitions, misrouted, dropped int
+	truncated                       bool
+}
+
+func (wk *layerWorker) getWorld() *model.World {
+	if n := len(wk.free); n > 0 {
+		w := wk.free[n-1]
+		wk.free = wk.free[:n-1]
 		return w
 	}
 	return &model.World{}
 }
 
-// putWorld returns a world whose node is done. Safe on any exit path:
-// violation paths are deep-copied and the visited set stores only
-// hashes/encodings, so nothing outlives the node that references it.
-func (e *engine) putWorld(w *model.World) {
-	if w != nil {
-		e.pool.Put(w)
-	}
-}
-
-func (e *engine) noteDepth(d int) {
-	for {
-		cur := e.maxDepth.Load()
-		if int64(d) <= cur || e.maxDepth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// enqueue makes a node available to the pool.
-func (e *engine) enqueue(id int, n *node) {
-	e.pending.Add(1)
-	if over := e.queues[id].push(n); over != nil {
-		e.overflow.pushAll(over)
-	}
-}
-
-// next finds work for worker id: own queue first, then the overflow
-// queue, then stealing round-robin from the other workers.
-func (e *engine) next(id int) *node {
-	if n := e.queues[id].pop(); n != nil {
-		return n
-	}
-	if n := e.overflow.steal(); n != nil {
-		return n
-	}
-	for i := 1; i < len(e.queues); i++ {
-		if n := e.queues[(id+i)%len(e.queues)].steal(); n != nil {
-			return n
-		}
-	}
-	return nil
-}
-
-func (e *engine) worker(id int, covered *coverage) {
-	// Worker-private scratch, reused across every node this worker
-	// expands: the hashing buffer, the step slice, the apply/undo
-	// journal, and the path arena. Arena nodes are read cross-worker
-	// after enqueue (the deque mutex is the fence) but only the owner
-	// appends.
-	var (
-		buf   []byte
-		steps []model.Step
-		undo  model.Undo
-		arena stepArena
-	)
-	for {
+// expandAll expands a run of same-depth frontier nodes, stopping
+// between nodes once the search is over.
+func (wk *layerWorker) expandAll(nodes []node, depth int) {
+	e := wk.e
+	for _, n := range nodes {
 		if e.stop.Load() {
 			return
 		}
-		n := e.next(id)
-		if n == nil {
-			if e.pending.Load() == 0 {
-				return
-			}
-			runtime.Gosched()
-			continue
+		if e.opt.Cancel.Cancelled() {
+			wk.truncated = true
+			e.stop.Store(true)
+			return
 		}
-		steps = e.expand(id, n, covered, &buf, steps, &undo, &arena)
-		e.pending.Add(-1)
+		wk.expand(n, depth)
 	}
 }
 
-// expand explores every transition out of n with the sequential
-// engine's apply/undo discipline on the node's own world: apply the
-// step in place, evaluate monitors, mark the visited table, and roll
-// back. Only a transition that actually discovers (or shallower-
-// rediscovers) a state pays for a world clone — in the dense state
-// graphs screening produces, that is a small fraction of transitions.
-func (e *engine) expand(id int, n *node, covered *coverage, buf *[]byte, steps []model.Step, undo *model.Undo, arena *stepArena) []model.Step {
-	defer e.putWorld(n.w)
-	e.noteDepth(n.depth)
-	if e.opt.Cancel.Cancelled() {
-		e.truncated.Store(true)
-		e.stop.Store(true)
-		return steps
-	}
-	if n.depth >= e.opt.MaxDepth {
-		e.truncated.Store(true)
-		return steps
-	}
-	steps = n.w.StepsAppend(steps[:0], e.sc.Events(n.w))
-	n.w.Save(undo)
-	for _, s := range steps {
-		if e.stop.Load() {
-			return steps
-		}
+// expand explores every transition out of n on the node's own world:
+// apply the step in place, evaluate monitors, mark the visited table,
+// and roll back. Only a transition that discovers a state pays for a
+// world copy and a path node — in the dense state graphs screening
+// produces, that is a small fraction of transitions.
+func (wk *layerWorker) expand(n node, depth int) {
+	e := wk.e
+	wk.steps = n.w.StepsAppend(wk.steps[:0], e.sc.Events(n.w))
+	n.w.Save(&wk.undo)
+	for _, s := range wk.steps {
 		applied, err := n.w.Apply(s)
 		if err != nil {
 			e.setErr(fmt.Errorf("check: apply %v: %w", s, err))
-			return steps
+			return
 		}
-		e.transitions.Add(1)
-		if applied.Misrouted > 0 {
-			e.misrouted.Add(int64(applied.Misrouted))
-		}
-		if applied.Dropped > 0 {
-			e.dropped.Add(int64(applied.Dropped))
-		}
-		covered.note(applied)
-		path := arena.append(n.path, applied)
-		if e.checkProps(n.w, applied, path) && e.opt.StopAtFirst {
+		wk.transitions++
+		wk.misrouted += applied.Misrouted
+		wk.dropped += applied.Dropped
+		wk.cov.note(applied)
+		if e.checkProps(n.w, n.path, applied) && e.opt.StopAtFirst {
 			e.stop.Store(true)
-			return steps
+			return
 		}
 		var mark markResult
-		if mark, *buf, err = markVisited(e.visited, n.w, n.depth+1, *buf); err != nil {
+		if mark, wk.buf, err = markVisited(e.visited, n.w, depth+1, wk.buf); err != nil {
 			e.setErr(err)
-			return steps
+			return
 		}
 		switch {
 		case mark.capped:
-			e.truncated.Store(true)
+			wk.truncated = true
 		case mark.expand:
-			child := e.getWorld()
+			child := wk.getWorld()
 			n.w.CloneInto(child)
-			e.enqueue(id, &node{w: child, path: path, depth: n.depth + 1})
+			wk.next = append(wk.next, node{w: child, path: wk.arena.append(n.path, applied)})
 		}
-		n.w.Restore(undo)
+		n.w.Restore(&wk.undo)
 	}
-	return steps
+	wk.free = append(wk.free, n.w)
 }
 
 // checkProps evaluates the monitors on a worker-private world and
 // records new violations under the shared lock. The lock is taken only
 // on an actual violation, so the monitor evaluations themselves run
-// fully in parallel.
-func (e *engine) checkProps(w *model.World, last model.Step, tail *pathNode) bool {
+// fully in parallel; the counterexample (prev extended by last) is
+// built only when the violation is new.
+func (e *engine) checkProps(w *model.World, prev *pathNode, last model.Step) bool {
 	violated := false
 	for _, p := range e.props {
 		desc := p.Check(w, last)
@@ -305,65 +205,102 @@ func (e *engine) checkProps(w *model.World, last model.Step, tail *pathNode) boo
 		e.violMu.Lock()
 		if _, dup := e.seenViol[key]; !dup {
 			e.seenViol[key] = struct{}{}
-			e.violations = append(e.violations, Violation{Property: p.Name(), Desc: desc, Path: materializePath(tail)})
+			e.violations = append(e.violations, Violation{Property: p.Name(), Desc: desc,
+				Path: materializePath(&pathNode{prev: prev, step: last})})
 		}
 		e.violMu.Unlock()
 	}
 	return violated
 }
 
-func runParallelSearch(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
+// expandLayer expands the whole frontier, all of it at depth, into the
+// workers' next slices and returns when every worker is done.
+func (e *engine) expandLayer(workers []*layerWorker, frontier []node, depth int) {
+	chunks := (len(frontier) + layerChunk - 1) / layerChunk
+	if len(workers) == 1 || chunks == 1 {
+		workers[0].expandAll(frontier, depth)
+		return
+	}
+	var cursor atomic.Int64
+	claim := func(wk *layerWorker) {
+		for !e.stop.Load() {
+			lo := int(cursor.Add(layerChunk)) - layerChunk
+			if lo >= len(frontier) {
+				return
+			}
+			wk.expandAll(frontier[lo:min(lo+layerChunk, len(frontier))], depth)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, wk := range workers[1:min(len(workers), chunks)] {
+		wg.Add(1)
+		go func(wk *layerWorker) {
+			defer wg.Done()
+			claim(wk)
+		}(wk)
+	}
+	claim(workers[0])
+	wg.Wait()
+}
+
+// runLayered is the layered frontier search. With opt.Workers == 1 it
+// is sequential BFS: violations in discovery order, StopAtFirst
+// stopping on the very transition that violates.
+func runLayered(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
 	e := &engine{
 		opt:      opt,
-		sc:       &lockedScenario{base: sc},
+		sc:       sc,
 		props:    props,
 		visited:  newVisitedSet(opt),
-		queues:   make([]*deque, opt.Workers),
 		seenViol: make(map[violKey]struct{}),
 	}
-	for i := range e.queues {
-		e.queues[i] = &deque{}
+	if opt.Workers > 1 {
+		e.sc = &lockedScenario{base: sc}
+	}
+	workers := make([]*layerWorker, opt.Workers)
+	for i := range workers {
+		workers[i] = &layerWorker{e: e, cov: newCoverage(w0)}
 	}
 
-	root := &node{w: w0.Clone()}
-	if _, _, err := markVisited(e.visited, root.w, 0, nil); err != nil {
+	root := w0.Clone()
+	if _, _, err := markVisited(e.visited, root, 0, nil); err != nil {
 		return nil, err
 	}
-	e.enqueue(0, root)
-
-	coveredPer := make([]*coverage, opt.Workers)
-	var wg sync.WaitGroup
-	for id := 0; id < opt.Workers; id++ {
-		coveredPer[id] = newCoverage(w0)
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			e.worker(id, coveredPer[id])
-		}(id)
+	res := &Result{Covered: make(map[string]int)}
+	frontier := []node{{w: root}}
+	var spare []node // the previous layer's backing array, reused for the next
+	for depth := 0; len(frontier) > 0 && !e.stop.Load(); depth++ {
+		res.MaxDepth = depth
+		if depth >= opt.MaxDepth {
+			res.Truncated = true
+			break
+		}
+		e.expandLayer(workers, frontier, depth)
+		spare = spare[:0]
+		for _, wk := range workers {
+			spare = append(spare, wk.next...)
+			wk.next = wk.next[:0]
+		}
+		frontier, spare = spare, frontier
 	}
-	wg.Wait()
 	if e.err != nil {
 		return nil, e.err
 	}
 
-	covered := make(map[string]int)
-	for _, c := range coveredPer {
-		c.into(covered)
+	for _, wk := range workers {
+		res.Transitions += wk.transitions
+		res.Misrouted += wk.misrouted
+		res.Dropped += wk.dropped
+		res.Truncated = res.Truncated || wk.truncated
+		wk.cov.into(res.Covered)
 	}
-
-	res := &Result{
-		Transitions: int(e.transitions.Load()),
-		MaxDepth:    int(e.maxDepth.Load()),
-		Truncated:   e.truncated.Load(),
-		Violations:  e.violations,
-		Covered:     covered,
-		Misrouted:   int(e.misrouted.Load()),
-		Dropped:     int(e.dropped.Load()),
-	}
+	res.Violations = e.violations
 	finishVisited(res, e.visited)
-	sortViolations(res.Violations)
-	if err := reverify(w0, props, res.Violations); err != nil {
-		return nil, err
+	if opt.Workers > 1 {
+		sortViolations(res.Violations)
+		if err := reverify(w0, props, res.Violations); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -2,19 +2,16 @@ package check
 
 import "cnetverifier/internal/model"
 
-// Violation-path bookkeeping for the frontier engines (runSearch and
-// the parallel workers).
+// Violation-path bookkeeping for the layered frontier engine.
 //
-// Historically every enqueued child carried a private copy of its full
-// root-to-node step slice (copy-on-append, so sibling branches never
-// shared backing arrays) — O(depth) steps copied per enqueued node,
-// the dominant allocation source of a parallel run. The engines now
-// thread an immutable parent-pointer tree instead: each node holds one
-// step and a pointer to its parent, nodes are bump-allocated from a
-// per-worker arena, and a full path materializes only when a violation
-// is actually captured. Sibling independence is structural — extending
-// a node never mutates shared state — so the old aliasing hazards
-// cannot arise.
+// A frontier node does not carry its root-to-node step slice (O(depth)
+// steps copied per node). The engine threads an immutable parent-
+// pointer tree instead: each node holds one step and a pointer to its
+// parent, nodes are bump-allocated from a per-worker arena — one per
+// state that enters the frontier — and a full path materializes only
+// when a violation is actually captured. Sibling independence is
+// structural — extending a node never mutates shared state — so
+// captured paths cannot alias anything a worker goes on to write.
 type pathNode struct {
 	prev *pathNode
 	step model.Step
@@ -27,8 +24,8 @@ type pathNode struct {
 const stepArenaChunk = 512
 
 // stepArena bump-allocates path nodes. Each worker owns one; nodes may
-// be read by other workers after publication (the enqueue's lock is
-// the fence), but only the owner appends.
+// be read by other workers in later layers (the layer barrier is the
+// fence), but only the owner appends.
 type stepArena struct {
 	free []pathNode
 }

@@ -89,8 +89,9 @@ func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 // within MaxDepth is a fixpoint — every state whose true minimal depth
 // is below the bound — independent of exploration order or worker
 // interleaving. (Plain first-visit marking makes the truncated frontier
-// depend on discovery order, which is exactly the nondeterminism a
-// parallel engine cannot afford.)
+// depend on discovery order.) The layered engine finishes a depth
+// before starting the next, so its first visit is already the
+// shallowest and it never re-expands; runDFS does.
 //
 // In exact mode (the default) the table stores every state's full
 // encoding in an append-only arena and resolves fingerprint matches

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // maxAllocsPerState is the checked-in steady-state allocation budget
 // for sequential screening, in heap allocations per distinct state
@@ -95,5 +98,49 @@ func TestScreenSymAllocBudget(t *testing.T) {
 	if sym > 2*plain {
 		t.Fatalf("symmetry screening allocates %.2f allocs/state vs %.2f plain: canonicalization regressed the hot path",
 			sym, plain)
+	}
+}
+
+// TestParallelAllocBudget holds the layered engine's allocation cost on
+// the shared-core 3-UE world at 2 workers: what a state costs beyond
+// the sequential budget is its frontier entry — one world copy (mostly
+// recycled through the worker's free list) and one path node. Measured
+// 10.1 allocs and 1.75 KB per state; the work-stealing engine it
+// replaced, which allocated a path node per transition, sat at 14.6
+// and 3.7 KB.
+func TestParallelAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxBytesPerState = 2.2 * 1024
+	s := MultiUEWorldShared(3, false)
+	opt := s.Options
+	opt.SkipLint = true
+	opt.Workers = 2
+
+	r, err := Screen(s, opt) // warm run, as in TestScreenAllocBudget
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Screen(s, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perState := func(total uint64) float64 {
+		return float64(total) / runs / float64(r.Result.States)
+	}
+	allocs, bytes := perState(after.Mallocs-before.Mallocs), perState(after.TotalAlloc-before.TotalAlloc)
+	t.Logf("shared 3-UE, 2 workers: %d states, %.2f allocs/state (budget %.0f), %.0f B/state (budget %.0f)",
+		r.Result.States, allocs, maxAllocsPerState, bytes, maxBytesPerState)
+	if allocs > maxAllocsPerState {
+		t.Fatalf("layered screening allocates %.2f allocs/state, budget is %.0f", allocs, maxAllocsPerState)
+	}
+	if bytes > maxBytesPerState {
+		t.Fatalf("layered screening allocates %.0f B/state, budget is %.0f: a per-transition allocation is back", bytes, maxBytesPerState)
 	}
 }

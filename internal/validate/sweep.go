@@ -142,9 +142,12 @@ type SweepResult struct {
 
 // SweepTargets screens the scoped worlds for the given findings (nil =
 // all) breadth-first — the shortest, canonical counterexamples — and
-// returns one target per world. workers > 1 screens worlds
-// concurrently (core.ScreenWorlds); the violation sets are identical
-// either way per the parallel engine's determinism contract.
+// returns one target per world. Only a world's first counterexample is
+// swept, so each screen runs on one worker and stops at it: one-worker
+// BFS reports violations in discovery order, which makes that the same
+// counterexample an exhaustive screen lists first, found without
+// holding the rest of the state space. workers > 1 screens worlds
+// concurrently (core.ScreenWorlds) with the same targets.
 func SweepTargets(findings []core.FindingID, workers, stateBudget int) ([]SweepTarget, error) {
 	want := func(id core.FindingID) bool {
 		if len(findings) == 0 {
@@ -169,6 +172,8 @@ func SweepTargets(findings []core.FindingID, workers, stateBudget int) ([]SweepT
 	perWorld := func(s core.Scoped) check.Options {
 		opt := s.Options
 		opt.Strategy = check.BFS
+		opt.Workers = 1
+		opt.StopAtFirst = true
 		return opt
 	}
 	rs, err := core.ScreenWorlds(scoped, perWorld,

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -27,6 +28,28 @@ func mustTargets(t *testing.T) []SweepTarget {
 		t.Fatal(err)
 	}
 	return targets
+}
+
+// SweepTargets stops each screen at its first counterexample; that must
+// be the one an exhaustive breadth-first screen of the world lists first.
+func TestSweepTargetsMatchExhaustiveScreen(t *testing.T) {
+	for _, tg := range mustTargets(t) {
+		opt := tg.Scoped.Options
+		opt.Strategy = check.BFS
+		opt.Workers = 1
+		full, err := core.Screen(tg.Scoped, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Result.Violations) == 0 {
+			t.Fatalf("%s: exhaustive screen found no violation", tg.Scoped.Finding)
+		}
+		if !reflect.DeepEqual(tg.Violation, full.Result.Violations[0]) {
+			t.Errorf("%s: sweep target %s (%d steps) is not the exhaustive screen's first counterexample %s (%d steps)",
+				tg.Scoped.Finding, tg.Violation.Property, len(tg.Violation.Path),
+				full.Result.Violations[0].Property, len(full.Result.Violations[0].Path))
+		}
+	}
 }
 
 // The determinism contract: the same grid and seeds produce

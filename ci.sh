@@ -49,28 +49,30 @@ go run ./cmd/cnetlint -fail-on error >/dev/null
 go run ./cmd/cnetlint -fixed -fail-on error >/dev/null
 echo ok
 
+go build -o /tmp/cnetverify.$$ ./cmd/cnetverify
+
 echo "== POR gate (3-UE world: violation sets must match with and without -por) =="
-go run ./cmd/cnetverify -world multiue -violations >/tmp/viol_plain.$$
-go run ./cmd/cnetverify -world multiue -por -violations >/tmp/viol_por.$$
+/tmp/cnetverify.$$ -world multiue -violations >/tmp/viol_plain.$$
+/tmp/cnetverify.$$ -world multiue -por -violations >/tmp/viol_por.$$
 cmp /tmp/viol_plain.$$ /tmp/viol_por.$$
 rm -f /tmp/viol_plain.$$ /tmp/viol_por.$$
 echo ok
 
 echo "== symmetry gate (shared-core 3-UE world: -sym and -por -sym must keep the violation set) =="
-go run ./cmd/cnetverify -world multiue-shared -violations >/tmp/viol_plain.$$
-go run ./cmd/cnetverify -world multiue-shared -sym -violations >/tmp/viol_sym.$$
+/tmp/cnetverify.$$ -world multiue-shared -violations >/tmp/viol_plain.$$
+/tmp/cnetverify.$$ -world multiue-shared -sym -violations >/tmp/viol_sym.$$
 cmp /tmp/viol_plain.$$ /tmp/viol_sym.$$
-go run ./cmd/cnetverify -world multiue-shared -por -violations >/tmp/viol_por.$$
-go run ./cmd/cnetverify -world multiue-shared -por -sym -violations >/tmp/viol_porsym.$$
+/tmp/cnetverify.$$ -world multiue-shared -por -violations >/tmp/viol_por.$$
+/tmp/cnetverify.$$ -world multiue-shared -por -sym -violations >/tmp/viol_porsym.$$
 cmp /tmp/viol_por.$$ /tmp/viol_porsym.$$
 rm -f /tmp/viol_plain.$$ /tmp/viol_sym.$$ /tmp/viol_por.$$ /tmp/viol_porsym.$$
 echo ok
 
 echo "== visited-table gate (exact mode: violation sets byte-identical across worker counts, every standard world) =="
 for world in s1 s2 s3 s4cs s4ps s6 multiue multiue-shared; do
-    go run ./cmd/cnetverify -world "$world" -violations >/tmp/viol_w1.$$
-    go run ./cmd/cnetverify -world "$world" -workers 4 -violations >/tmp/viol_w4.$$
-    go run ./cmd/cnetverify -world "$world" -workers 8 -violations >/tmp/viol_w8.$$
+    /tmp/cnetverify.$$ -world "$world" -violations >/tmp/viol_w1.$$
+    /tmp/cnetverify.$$ -world "$world" -workers 4 -violations >/tmp/viol_w4.$$
+    /tmp/cnetverify.$$ -world "$world" -workers 8 -violations >/tmp/viol_w8.$$
     cmp /tmp/viol_w1.$$ /tmp/viol_w4.$$
     cmp /tmp/viol_w1.$$ /tmp/viol_w8.$$
 done
@@ -78,7 +80,6 @@ rm -f /tmp/viol_w1.$$ /tmp/viol_w4.$$ /tmp/viol_w8.$$
 echo ok
 
 echo "== timing gate (degenerate virtual time: violation sets byte-identical to untimed, every standard world x reduction x worker count) =="
-go build -o /tmp/cnetverify.$$ ./cmd/cnetverify
 for world in s1 s2 s3 s4cs s4ps s6 multiue multiue-shared; do
     /tmp/cnetverify.$$ -world "$world" -violations >/tmp/viol_ref.$$
     for mode in "" "-por" "-sym"; do
@@ -102,14 +103,14 @@ for args in "-world multiue-shared" "-world s6" "-world s1 -timing"; do
         cmp /tmp/sum_w1.$$ /tmp/sum_wn.$$
     done
 done
-rm -f /tmp/cnetverify.$$ /tmp/sum_w1.$$ /tmp/sum_wn.$$
+rm -f /tmp/sum_w1.$$ /tmp/sum_wn.$$
 echo ok
 
 echo "== hash-compaction gate (shared-core 3-UE world: -compact keeps the violation set at screening scale) =="
-go run ./cmd/cnetverify -world multiue-shared -sym -violations >/tmp/viol_exact.$$
-go run ./cmd/cnetverify -world multiue-shared -sym -compact -violations >/tmp/viol_compact.$$
+/tmp/cnetverify.$$ -world multiue-shared -sym -violations >/tmp/viol_exact.$$
+/tmp/cnetverify.$$ -world multiue-shared -sym -compact -violations >/tmp/viol_compact.$$
 cmp /tmp/viol_exact.$$ /tmp/viol_compact.$$
-rm -f /tmp/viol_exact.$$ /tmp/viol_compact.$$
+rm -f /tmp/cnetverify.$$ /tmp/viol_exact.$$ /tmp/viol_compact.$$
 echo ok
 
 echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
@@ -169,10 +170,7 @@ echo ok
 echo "== fuzz smoke (campaign occurrence-row codec, 15s) =="
 go test ./internal/campaign -run '^$' -fuzz FuzzCampaignRow -fuzztime 15s >/dev/null
 
-echo "== screening bench smoke (alloc-counted, 1 iteration) =="
-go test -run '^$' -bench Screen -benchtime=1x -benchmem . >/dev/null
-
-echo "== benchmarks (smoke, 1 iteration each) =="
-go test -run '^$' -bench . -benchtime=1x . >/dev/null
+echo "== benchmarks (smoke, alloc-counted, 1 iteration each, screening included) =="
+go test -run '^$' -bench . -benchtime=1x -benchmem . >/dev/null
 
 echo "CI gate passed."

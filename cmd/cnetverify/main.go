@@ -63,9 +63,7 @@
 // engine, whatever -strategy says: states and violation sets are those
 // of any sequential run, and transitions are exactly those of
 // -strategy bfs -workers 1 — fewer than dfs reports, which re-expands
-// states it later reaches by a shorter path. (A world whose initial
-// state enables a single step is not worth sharing out and runs
-// sequentially in the strategy asked for.) -parallel screens that many
+// states it later reaches by a shorter path. -parallel screens that many
 // worlds concurrently. -budget shares one pool of distinct-state tokens
 // across the whole campaign. -first cancels everything at the first
 // violation. See DESIGN.md, determinism contract.
@@ -122,6 +120,15 @@ func main() {
 	)
 	flag.Parse()
 
+	// Checked before anything is built or started: the per-world hook
+	// below runs on ScreenWorlds' goroutines under -parallel, where a
+	// usage error could no longer exit cleanly.
+	strat, err := parseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cnetverify:", err)
+		os.Exit(1)
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -170,18 +177,10 @@ func main() {
 
 	perWorld := func(s core.Scoped) check.Options {
 		opt := s.Options
-		switch strings.ToLower(*strategy) {
-		case "dfs":
-			opt.Strategy = check.DFS
-		case "bfs":
-			opt.Strategy = check.BFS
-		case "walk":
-			opt.Strategy = check.RandomWalk
+		opt.Strategy = strat
+		if strat == check.RandomWalk {
 			opt.Walks = *walks
 			opt.Seed = *seed
-		default:
-			fmt.Fprintf(os.Stderr, "cnetverify: unknown strategy %q\n", *strategy)
-			exit(1)
 		}
 		if *depth > 0 {
 			opt.MaxDepth = *depth
@@ -285,6 +284,21 @@ func exit(code int) {
 		}
 	}
 	os.Exit(code)
+}
+
+// parseStrategy maps a -strategy value (case-insensitive) to the
+// checker's strategy.
+func parseStrategy(s string) (check.Strategy, error) {
+	switch strings.ToLower(s) {
+	case "dfs":
+		return check.DFS, nil
+	case "bfs":
+		return check.BFS, nil
+	case "walk":
+		return check.RandomWalk, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q", s)
+	}
 }
 
 func selectWorlds(name string, fixed bool) ([]core.Scoped, error) {

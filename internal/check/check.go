@@ -9,20 +9,20 @@
 // path that reached it — the counterexample handed to the validation
 // phase (§3.2.3).
 //
-// Three exploration strategies are provided:
+// Three exploration strategies are provided, each a frontier driver
+// over the one expansion kernel of kernel.go:
 //
 //   - DFS: bounded-depth depth-first search with visited-state
-//     deduplication (the default; mirrors Spin's search).
+//     deduplication (the default; mirrors Spin's search; dfs.go).
 //   - BFS: level-synchronous breadth-first search (parallel.go),
 //     producing shortest counterexamples and expanding every state
 //     exactly once. Options.Workers > 1 always searches this way.
 //   - RandomWalk: seeded random schedule sampling, the paper's approach
-//     for scenario spaces too large to enumerate.
+//     for scenario spaces too large to enumerate (walk.go).
 package check
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cnetverifier/internal/model"
 )
@@ -131,10 +131,9 @@ type Options struct {
 	// many workers (DFS or BFS, whichever is asked for) or splits the
 	// walks (RandomWalk). A layered run reports exactly what Strategy
 	// BFS with one worker reports, counts included (the determinism
-	// contract in parallel.go says what is exact and what is not);
+	// contract in kernel.go says what is exact and what is not);
 	// counterexample paths are re-verified with Replay before being
-	// reported. A world whose initial state enables fewer than two
-	// steps runs sequentially in the strategy asked for.
+	// reported.
 	Workers int
 	// POR enables independence-powered partial-order reduction for the
 	// DFS/BFS strategies (RandomWalk ignores it: sampled schedules are
@@ -317,7 +316,7 @@ func (r *Result) ViolationsOf(property string) []Violation {
 
 // violKey identifies a distinct violation. A comparable struct key —
 // not a concatenated string — so the per-transition duplicate check in
-// checkProps is allocation-free.
+// engine.checkProps is allocation-free.
 type violKey struct {
 	prop, desc string
 }
@@ -362,332 +361,28 @@ func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, e
 	return res, nil
 }
 
-// parallelRootWidthMin is the spin-up threshold of the parallel
-// frontier search: a root frontier below it (a single enabled step)
-// leaves the workers nothing to share until the search has fanned out,
-// and BENCH_screen shows the parallel engine is a wash or worse on
-// such worlds (s1, s2, s4ps). dispatch then degrades to the sequential
-// engine — result-identical by the determinism contract, minus the
-// spin-up cost.
-const parallelRootWidthMin = 2
-
-// degradeParallel reports whether a parallel search request should run
-// on the sequential engine instead: the root frontier is too narrow to
-// amortize worker spin-up. Only meaningful for DFS/BFS (walk splitting
-// parallelizes over walks, not over the frontier).
-func degradeParallel(w *model.World, sc Scenario, opt Options) bool {
-	if opt.Workers <= 1 || (opt.Strategy != DFS && opt.Strategy != BFS) {
-		return false
-	}
-	return len(w.Steps(sc.Events(w))) < parallelRootWidthMin
-}
-
-// dispatch routes an already-defaulted, already-prescreened run to its
-// exploration engine: sequential DFS to runDFS; BFS, and either search
-// strategy on more than one worker, to the layered frontier engine.
+// dispatch runs an already-defaulted, already-prescreened search on the
+// exploration kernel (kernel.go) under the frontier driver the options
+// select: sequential DFS on the depth-first stack; BFS, and either
+// search strategy on more than one worker, on the layered frontier;
+// RandomWalk on none.
 func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	switch opt.Strategy {
-	case DFS, BFS:
-		if degradeParallel(w, sc, opt) {
-			opt.Workers = 1
-		}
-		if opt.Strategy == DFS && opt.Workers == 1 {
-			return runDFS(w, props, sc, opt)
-		}
-		return runLayered(w, props, sc, opt)
-	case RandomWalk:
-		if opt.Workers > 1 {
-			return runParallelWalk(w, props, sc, opt)
-		}
-		return runRandomWalk(w, props, sc, opt)
-	default:
+	if opt.Strategy > RandomWalk {
 		return nil, fmt.Errorf("check: unknown strategy %v", opt.Strategy)
 	}
-}
-
-// coverage tallies fired transitions by (process index, transition
-// index) so the exploration hot path never builds a "proc/label"
-// string key; the counters materialize into a Result.Covered map once
-// per run.
-type coverage struct {
-	w      *model.World
-	counts [][]int
-}
-
-func newCoverage(w *model.World) *coverage {
-	c := &coverage{w: w, counts: make([][]int, len(w.Procs))}
-	for i, p := range w.Procs {
-		c.counts[i] = make([]int, len(p.M.Spec().Transitions))
-	}
-	return c
-}
-
-// note records an applied step (no-op for drops/discards, which fire
-// no transition).
-func (c *coverage) note(s model.Step) {
-	if s.Label == "" {
-		return
-	}
-	if i, ok := c.w.ProcIndex(s.Proc); ok && s.TransIdx < len(c.counts[i]) {
-		c.counts[i][s.TransIdx]++
-	}
-}
-
-// into materializes the counters into a Covered map.
-func (c *coverage) into(m map[string]int) map[string]int {
-	for i, p := range c.w.Procs {
-		spec := p.M.Spec()
-		for ti, n := range c.counts[i] {
-			if n > 0 {
-				m[p.Name+"/"+spec.Transitions[ti].Name] += n
-			}
-		}
-	}
-	return m
-}
-
-// runDFS is the sequential depth-first engine, exploring in place with
-// the model layer's apply/undo discipline: the world is snapshotted
-// once per search node (Save) and rewound after each child (Restore)
-// instead of cloned per transition — Spin's state-vector restore. The
-// node order replicates the frontier-stack engine exactly (children
-// are property-checked in step order, then descended in reverse push
-// order, i.e. LIFO), so discovery order — and with it the first
-// counterexample found under StopAtFirst and the golden traces — is
-// unchanged. Steady-state exploration allocates nothing: per-depth
-// frames (undo record, steps buffer, expand list) are reused across
-// the whole run and grow only while the search deepens.
-func runDFS(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	res := &Result{Covered: make(map[string]int)}
-	visited := newVisitedSet(opt)
-	seenViol := make(map[violKey]struct{})
-	cov := newCoverage(w0)
-	var buf []byte
-
-	w := w0.Clone()
-	var err error
-	if _, buf, err = markVisited(visited, w, 0, buf); err != nil {
+	e, workers, err := newEngine(w, props, sc, opt)
+	if err != nil {
 		return nil, err
 	}
-
-	type frame struct {
-		undo   model.Undo
-		steps  []model.Step
-		expand []model.Step
+	switch {
+	case opt.Strategy == RandomWalk:
+		runWalks(e, workers)
+	case opt.Strategy == DFS && opt.Workers == 1:
+		runDFS(e, workers[0])
+	default:
+		runLayered(e, workers)
 	}
-	var frames []*frame
-	frameAt := func(depth int) *frame {
-		for len(frames) <= depth {
-			frames = append(frames, &frame{})
-		}
-		return frames[depth]
-	}
-	var path []model.Step
-	stop := false
-
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if opt.Cancel.Cancelled() {
-			res.Truncated = true
-			stop = true
-			return nil
-		}
-		if depth > res.MaxDepth {
-			res.MaxDepth = depth
-		}
-		if depth >= opt.MaxDepth {
-			res.Truncated = true
-			return nil
-		}
-		f := frameAt(depth)
-		f.steps = w.StepsAppend(f.steps[:0], sc.Events(w))
-		f.expand = f.expand[:0]
-		w.Save(&f.undo)
-		for _, s := range f.steps {
-			applied, err := w.Apply(s)
-			if err != nil {
-				return fmt.Errorf("check: apply %v: %w", s, err)
-			}
-			res.Transitions++
-			res.Misrouted += applied.Misrouted
-			res.Dropped += applied.Dropped
-			cov.note(applied)
-			path = append(path, applied)
-			violated := checkProps(w, applied, path, props, seenViol, res)
-			path = path[:len(path)-1]
-			if violated && opt.StopAtFirst {
-				stop = true
-				w.Restore(&f.undo)
-				return nil
-			}
-			var mark markResult
-			if mark, buf, err = markVisited(visited, w, depth+1, buf); err != nil {
-				return err
-			}
-			w.Restore(&f.undo)
-			if mark.capped {
-				res.Truncated = true
-				continue
-			}
-			if mark.expand {
-				f.expand = append(f.expand, applied)
-			}
-		}
-		// Descend in reverse order: the frontier-stack engine pushed
-		// expandable children in step order and popped the last one
-		// first. Each descent re-applies the already-annotated step
-		// (not counted again — the check loop above owns the tally).
-		for i := len(f.expand) - 1; i >= 0; i-- {
-			s := f.expand[i]
-			if _, err := w.Apply(s); err != nil {
-				return fmt.Errorf("check: apply %v: %w", s, err)
-			}
-			path = append(path, s)
-			err := rec(depth + 1)
-			path = path[:len(path)-1]
-			w.Restore(&f.undo)
-			if err != nil || stop {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	cov.into(res.Covered)
-	finishVisited(res, visited)
-	return res, nil
-}
-
-// finishVisited copies the visited set's final accounting into the
-// result: state count, compaction omission bound and table
-// diagnostics.
-func finishVisited(res *Result, visited *visitedSet) {
-	res.States = visited.size()
-	res.Omission = visited.omission()
-	res.Visited = visited.stats()
-}
-
-// walkSeed derives an independent RNG seed for one walk from the run
-// seed (SplitMix64 finalizer), so walk w samples the same schedule
-// whether it runs first, last, or on another goroutine.
-func walkSeed(seed int64, walk int) int64 {
-	z := uint64(seed) + uint64(walk+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-func runRandomWalk(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	res := &Result{Covered: make(map[string]int)}
-	seenViol := make(map[violKey]struct{})
-	visited := newVisitedSet(opt)
-	var buf []byte
-	var err error
-	if _, buf, err = markVisited(visited, w0, 0, buf); err != nil {
-		return nil, err
-	}
-
-	var wk walker
-	for walk := 0; walk < opt.Walks; walk++ {
-		if opt.Cancel.Cancelled() {
-			res.Truncated = true
-			break
-		}
-		stop, err := oneWalk(w0, &wk, props, sc, opt, walk, visited, &buf, seenViol, res)
-		if err != nil {
-			return nil, err
-		}
-		if stop {
-			break
-		}
-	}
-	finishVisited(res, visited)
-	return res, nil
-}
-
-// walker is per-goroutine scratch for random walks: a reusable world
-// refreshed with CloneInto at the start of each walk plus steps/path
-// buffers, so sampling thousands of schedules reuses one allocation
-// footprint.
-type walker struct {
-	w     *model.World
-	steps []model.Step
-	path  []model.Step
-}
-
-// oneWalk samples one maximal schedule with the walk's own RNG stream,
-// accumulating into res (the caller owns any locking; the sequential
-// engine passes its private result). It reports whether the run should
-// stop (StopAtFirst hit a violation).
-func oneWalk(w0 *model.World, wk *walker, props []Property, sc Scenario, opt Options, walk int, visited *visitedSet, buf *[]byte, seenViol map[violKey]struct{}, res *Result) (bool, error) {
-	rng := rand.New(rand.NewSource(walkSeed(opt.Seed, walk)))
-	if wk.w == nil {
-		wk.w = &model.World{}
-	}
-	w := wk.w
-	w0.CloneInto(w)
-	path := wk.path[:0]
-	defer func() { wk.path = path[:0] }()
-	for depth := 0; depth < opt.MaxDepth; depth++ {
-		wk.steps = w.StepsAppend(wk.steps[:0], sc.Events(w))
-		steps := wk.steps
-		if len(steps) == 0 {
-			break
-		}
-		s := steps[rng.Intn(len(steps))]
-		applied, err := w.Apply(s)
-		if err != nil {
-			return false, fmt.Errorf("check: walk %d apply %v: %w", walk, s, err)
-		}
-		res.Transitions++
-		res.Misrouted += applied.Misrouted
-		res.Dropped += applied.Dropped
-		if applied.Label != "" {
-			res.Covered[applied.Proc+"/"+applied.Label]++
-		}
-		if depth+1 > res.MaxDepth {
-			res.MaxDepth = depth + 1
-		}
-		// Plain append is safe here (unlike the search engines'
-		// appendPath): a walk has no sibling branches sharing the
-		// buffer, and checkProps deep-copies any captured path.
-		path = append(path, applied)
-		var mark markResult
-		if mark, *buf, err = markVisited(visited, w, depth+1, *buf); err != nil {
-			return false, err
-		}
-		if mark.capped {
-			res.Truncated = true
-		}
-		if violated := checkProps(w, applied, path, props, seenViol, res); violated && opt.StopAtFirst {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func checkProps(w *model.World, last model.Step, path []model.Step, props []Property, seen map[violKey]struct{}, res *Result) bool {
-	violated := false
-	for _, p := range props {
-		desc := p.Check(w, last)
-		if desc == "" {
-			continue
-		}
-		violated = true
-		key := violKey{p.Name(), desc}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		res.Violations = append(res.Violations, Violation{
-			Property: p.Name(),
-			Desc:     desc,
-			Path:     clonePath(path),
-		})
-	}
-	return violated
+	return e.finish(workers)
 }
 
 // Replay applies a counterexample path to a fresh world, returning the

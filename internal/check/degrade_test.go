@@ -2,6 +2,7 @@ package check
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cnetverifier/internal/model"
@@ -9,7 +10,8 @@ import (
 )
 
 // incScenario drives the counter world with a single event, so the root
-// frontier has width 1 — below the parallel spin-up threshold.
+// enables exactly one step and every layer of the search is one node
+// wide.
 func incScenario() Scenario {
 	return ScenarioFunc(func(w *model.World) []model.EnvEvent {
 		return []model.EnvEvent{
@@ -18,45 +20,60 @@ func incScenario() Scenario {
 	})
 }
 
-// TestDegradeParallel pins the spin-up threshold decision: a root
-// frontier narrower than parallelRootWidthMin degrades a parallel
-// search request to the sequential engine (there is at most one subtree
-// to hand out, so workers would only add channel and CAS traffic), a
-// frontier at or above it does not, and sampling strategies — which
-// parallelize across walks, not the frontier — never degrade.
+// TestDegradeParallel pins what a request for workers costs a world too
+// narrow to use them: Workers > 1 always means the layered search, and
+// a layer of at most one chunk runs on the caller — no goroutine is
+// started, however many workers were asked for.
 func TestDegradeParallel(t *testing.T) {
-	w := counterWorld(t)
-	opt := Options{Workers: 8, MaxDepth: 8}
-	if !degradeParallel(w, incScenario(), opt) {
-		t.Error("width-1 root frontier not degraded")
-	}
-	if degradeParallel(w, moveScenario(), opt) {
-		t.Error("width-2 root frontier degraded")
-	}
-	opt.Strategy = RandomWalk
-	if degradeParallel(w, incScenario(), opt) {
-		t.Error("RandomWalk degraded: walks parallelize regardless of root width")
+	for _, strategy := range []Strategy{DFS, BFS} {
+		before := runtime.NumGoroutine()
+		probe := &goroutineProbe{}
+		_, err := Run(counterWorld(t), []Property{probe}, incScenario(), Options{Strategy: strategy, MaxDepth: 8, Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.calls == 0 {
+			t.Fatalf("%v: monitor never ran", strategy)
+		}
+		if probe.max > before {
+			t.Errorf("%v: %d goroutines before the run, %d during it", strategy, before, probe.max)
+		}
 	}
 }
 
-// TestDegradeParallelEquivalence runs a width-1 world with Workers=8
-// and sequentially: the degraded run must report the identical result —
-// not merely the same violation set, the same Result (the degraded
-// request takes the very same code path).
+// goroutineProbe is a monitor that never fires and records the largest
+// goroutine count it saw while the search ran.
+type goroutineProbe struct{ calls, max int }
+
+func (p *goroutineProbe) Name() string { return "GoroutineProbe" }
+
+func (p *goroutineProbe) Check(*model.World, model.Step) string {
+	p.calls++
+	p.max = max(p.max, runtime.NumGoroutine())
+	return ""
+}
+
+// TestDegradeParallelEquivalence runs a width-1 world with Workers=8:
+// the run must equal sequential BFS field for field — not merely the
+// same violation set, the same Result (the inline layered search is the
+// very same code path) — and differ from sequential DFS only where the
+// search order shows.
 func TestDegradeParallelEquivalence(t *testing.T) {
 	props := []Property{limitProp{limit: 3}}
-	seq, err := Run(counterWorld(t), props, incScenario(), Options{MaxDepth: 8})
+	bfs, err := Run(counterWorld(t), props, incScenario(), Options{Strategy: BFS, MaxDepth: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(counterWorld(t), props, incScenario(), Options{MaxDepth: 8, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, strategy := range []Strategy{DFS, BFS} {
+		par, err := Run(counterWorld(t), props, incScenario(), Options{Strategy: strategy, MaxDepth: 8, Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bfs, par) {
+			t.Fatalf("%v with 8 workers differs from sequential BFS:\nbfs: %+v\npar: %+v", strategy, bfs, par)
+		}
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("degraded parallel run differs from sequential:\nseq: %+v\npar: %+v", seq, par)
-	}
-	if seq.States == 0 || len(seq.Violations) == 0 {
-		t.Fatalf("degenerate fixture: %d states, %d violations", seq.States, len(seq.Violations))
+	if bfs.States == 0 || len(bfs.Violations) == 0 {
+		t.Fatalf("degenerate fixture: %d states, %d violations", bfs.States, len(bfs.Violations))
 	}
 }

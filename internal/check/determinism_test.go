@@ -5,7 +5,11 @@ package check_test
 // imports internal/check.
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -36,9 +40,7 @@ func violationKeys(res *check.Result) []string {
 // distinct-state count, the violation set and the per-process spec
 // coverage; and on the search worlds the runs with 2 and 8 workers
 // equal sequential BFS on everything that counts work — transitions,
-// depth, truncation, message losses and per-transition coverage counts
-// (a world whose root enables a single step degrades to the sequential
-// engine of the strategy its options ask for, DFS, and equals that).
+// depth, truncation, message losses and per-transition coverage counts.
 func TestParallelDeterminism(t *testing.T) {
 	worlds := core.StandardWorlds(false)
 	worlds["multiue-shared3"] = core.MultiUEWorldShared(3, false)
@@ -53,11 +55,7 @@ func TestParallelDeterminism(t *testing.T) {
 			wantCov := check.SpecCoverage(s.World, base.Result)
 
 			var seq *check.Result
-			switch {
-			case s.Options.Strategy == check.RandomWalk:
-			case len(s.World.Steps(s.Scenario.Events(s.World))) < 2:
-				seq = base.Result
-			default:
+			if s.Options.Strategy != check.RandomWalk {
 				opt := s.Options
 				opt.Strategy, opt.Workers = check.BFS, 1
 				r, err := core.Screen(s, opt)
@@ -134,6 +132,144 @@ func TestSequentialBFSPins(t *testing.T) {
 			t.Errorf("%s: (states, transitions, max depth, first counterexample length) = %v, want %v", name, got, want)
 		}
 	}
+}
+
+var updatePins = flag.Bool("update", false, "rewrite the engine pins under testdata/pins")
+
+// resultPin is the part of a Result a pin file records: every count the
+// determinism contract covers, the per-transition coverage, and the
+// violations — in reported order with rendered paths where the order is
+// pinned (Paths), as the sorted key set where it is not.
+type resultPin struct {
+	States, Transitions, MaxDepth int
+	Truncated                     bool
+	Misrouted, Dropped            int
+	Violations, FirstPath         int
+	Covered                       map[string]int
+	Keys                          []string   `json:",omitempty"`
+	Paths                         [][]string `json:",omitempty"`
+}
+
+func pinOf(r *check.Result, ordered bool) resultPin {
+	p := resultPin{
+		States: r.States, Transitions: r.Transitions, MaxDepth: r.MaxDepth, Truncated: r.Truncated,
+		Misrouted: r.Misrouted, Dropped: r.Dropped, Violations: len(r.Violations), Covered: r.Covered,
+	}
+	if len(r.Violations) > 0 {
+		p.FirstPath = len(r.Violations[0].Path)
+	}
+	if !ordered {
+		p.Keys = violationKeys(r)
+		return p
+	}
+	for _, v := range r.Violations {
+		path := []string{v.Property, v.Desc}
+		for _, st := range v.Path {
+			path = append(path, st.String())
+		}
+		p.Paths = append(p.Paths, path)
+	}
+	return p
+}
+
+// checkPins compares got against testdata/pins/<file>, entry by entry
+// (-update rewrites the file instead).
+func checkPins(t *testing.T, file string, got map[string]resultPin) {
+	t.Helper()
+	path := filepath.Join("testdata", "pins", file)
+	if *updatePins {
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]resultPin
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s pins %d runs, test made %d", path, len(want), len(got))
+	}
+	for name, g := range got {
+		if w := want[name]; !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: %s differs from the pin:\n got %+v\nwant %+v", path, name, g, w)
+		}
+	}
+}
+
+// TestSequentialDFSPins pins sequential DFS — counts, coverage and the
+// first counterexample's length — to the values the engine reported
+// before the drivers were put on one expansion kernel, on every
+// standard search world, the 3-UE shared-core world plain and under
+// Symmetry, and NAS-timed S1.
+func TestSequentialDFSPins(t *testing.T) {
+	type run struct {
+		s   core.Scoped
+		opt check.Options
+	}
+	runs := map[string]run{}
+	for name, s := range core.StandardWorlds(false) {
+		if s.Options.Strategy != check.RandomWalk {
+			runs[name] = run{s, s.Options}
+		}
+	}
+	shared3 := core.MultiUEWorldShared(3, false)
+	runs["multiue-shared3"] = run{shared3, shared3.Options}
+	sym := shared3.Options
+	sym.Symmetry = true
+	runs["multiue-shared3-sym"] = run{shared3, sym}
+	timed, err := core.WithTiming(core.S1World(false), core.TimingNAS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs["s1-timed-nas"] = run{timed, timed.Options}
+
+	got := map[string]resultPin{}
+	for name, r := range runs {
+		if r.opt.Strategy != check.DFS || r.opt.Workers > 1 {
+			t.Fatalf("%s: options %+v are not sequential DFS", name, r.opt)
+		}
+		res, err := core.Screen(r.s, r.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = pinOf(res.Result, false)
+	}
+	checkPins(t, "dfs.json", got)
+}
+
+// TestWalkPins pins RandomWalk on the full world: at one worker the
+// whole result, violations in discovery order with their paths; at four
+// the counts, coverage and violation set (which worker's path survives
+// the dedupe is outside the contract).
+func TestWalkPins(t *testing.T) {
+	s := core.StandardWorlds(false)["full"]
+	got := map[string]resultPin{}
+	for _, workers := range []int{1, 4} {
+		opt := s.Options
+		opt.Workers = workers
+		res, err := core.Screen(s, opt)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		p := pinOf(res.Result, workers == 1)
+		if workers > 1 {
+			p.FirstPath = 0
+		}
+		got[fmt.Sprintf("workers=%d", workers)] = p
+	}
+	checkPins(t, "walk.json", got)
 }
 
 // TestParallelStopAtFirstShortest: a layer is finished before the next

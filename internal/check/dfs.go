@@ -1,0 +1,75 @@
+package check
+
+import (
+	"fmt"
+
+	"cnetverifier/internal/model"
+)
+
+// dfsFrame is one level of the depth-first stack: the open expansion of
+// the node at that depth, the children it still has to descend into,
+// and the node's place on the current path. Frames are reused for every
+// node the search visits at their depth, so steady-state exploration
+// allocates nothing; the path node being part of the frame is why a
+// counterexample must be materialized the moment it is captured.
+type dfsFrame struct {
+	frame
+	children []model.Step
+	path     pathNode
+}
+
+func (f *dfsFrame) push(_ *model.World, _ *pathNode, applied model.Step) {
+	f.children = append(f.children, applied)
+}
+
+// dfs is the depth-first driver: the kernel run over a stack of frames
+// on a single world explored in place.
+type dfs struct {
+	wk     *worker
+	w      *model.World
+	frames []*dfsFrame
+}
+
+// runDFS is sequential depth-first search (the default; mirrors Spin's).
+// Min-depth marking makes it re-expand a state it later reaches by a
+// shorter path, which is what keeps a depth-bounded run's state set
+// independent of search order (see visitedSet).
+func runDFS(e *engine, wk *worker) {
+	d := &dfs{wk: wk, w: e.root}
+	d.visit(nil, 0)
+}
+
+// visit expands the node the world is in, reached by path at depth, and
+// then searches below it. Children are checked in step order and
+// descended into in reverse — the order of a stack the children were
+// pushed on, which the golden traces and StopAtFirst's first
+// counterexample pin. A descent re-applies the child's step, already
+// annotated and already counted by expand.
+func (d *dfs) visit(path *pathNode, depth int) {
+	wk, e := d.wk, d.wk.e
+	if wk.halted() {
+		return
+	}
+	wk.maxDepth = max(wk.maxDepth, depth)
+	if depth >= e.opt.MaxDepth {
+		wk.truncated = true
+		return
+	}
+	for len(d.frames) <= depth+1 {
+		d.frames = append(d.frames, &dfsFrame{})
+	}
+	f, child := d.frames[depth], d.frames[depth+1]
+	f.children = f.children[:0]
+	if !wk.expand(d.w, path, depth, &f.frame, f) {
+		return
+	}
+	for i := len(f.children) - 1; i >= 0 && !e.stop.Load(); i-- {
+		if _, err := d.w.Apply(f.children[i]); err != nil {
+			e.fail(fmt.Errorf("check: apply %v: %w", f.children[i], err))
+			return
+		}
+		child.path = pathNode{prev: path, step: f.children[i]}
+		d.visit(&child.path, depth+1)
+		d.w.Restore(&f.undo)
+	}
+}

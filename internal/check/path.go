@@ -2,16 +2,16 @@ package check
 
 import "cnetverifier/internal/model"
 
-// Violation-path bookkeeping for the layered frontier engine.
+// Violation-path bookkeeping, shared by the three drivers.
 //
-// A frontier node does not carry its root-to-node step slice (O(depth)
-// steps copied per node). The engine threads an immutable parent-
-// pointer tree instead: each node holds one step and a pointer to its
-// parent, nodes are bump-allocated from a per-worker arena — one per
-// state that enters the frontier — and a full path materializes only
-// when a violation is actually captured. Sibling independence is
-// structural — extending a node never mutates shared state — so
-// captured paths cannot alias anything a worker goes on to write.
+// No driver carries a root-to-node step slice (O(depth) steps copied
+// per node). A path is a chain of parent pointers instead: each node
+// holds one step and a pointer to its parent, and a full path
+// materializes only when a violation is actually captured. Where the
+// nodes live is the driver's business: the layered search bump-
+// allocates one per state that enters the frontier from a per-worker
+// arena, immutable once written, so extending a node never disturbs a
+// sibling; DFS and the walks keep one reusable node per depth.
 type pathNode struct {
 	prev *pathNode
 	step model.Step
@@ -52,9 +52,8 @@ func pathLen(n *pathNode) int {
 }
 
 // materializePath flattens the node's path into a freshly owned step
-// slice, deep-copying per-step Notes — same ownership contract as
-// clonePath: a captured counterexample must not alias anything the
-// engines keep recycling.
+// slice, deep-copying per-step Notes: a captured counterexample must
+// not alias anything the drivers keep recycling.
 func materializePath(n *pathNode) []model.Step {
 	out := make([]model.Step, pathLen(n))
 	for i := len(out) - 1; n != nil; i, n = i-1, n.prev {

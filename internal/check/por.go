@@ -34,9 +34,6 @@ import (
 func runPOR(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
 	sub := opt
 	sub.POR = false
-	// The full world was already prescreened by Run; projections would
-	// re-trip scenario/peer rules that the projection itself causes.
-	sub.SkipLint = true
 
 	clusters := effects.Analyze(w).ClusterNames()
 	if len(clusters) <= 1 {
@@ -85,6 +82,6 @@ func runPOR(w *model.World, props []Property, sc Scenario, opt Options) (*Result
 	// deterministic), but a property violated in its initial state can
 	// surface from several projections: dedupe on (property, desc),
 	// which also sorts into the parallel engine's canonical order.
-	merged.Violations = dedupeViolations(merged.Violations)
+	merged.Violations = DedupeViolations(merged.Violations)
 	return merged, nil
 }

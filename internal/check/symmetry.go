@@ -70,7 +70,7 @@ func symmetrizeViolations(res *Result, sym *model.Symmetry) {
 			}
 		}
 	}
-	res.Violations = dedupeViolations(res.Violations)
+	res.Violations = DedupeViolations(res.Violations)
 }
 
 // permutations enumerates all permutations of [0..n) in lexicographic

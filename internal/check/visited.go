@@ -75,9 +75,9 @@ func (c *Cancel) Cancel() { c.flag.Store(true) }
 // cancelled.
 func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 
-// visitedSet is the deduplication structure shared by the sequential
-// and parallel engines: the lock-free open-addressing fingerprint
-// table of vtable.go, keyed by the state hash (model.World.AppendHash
+// visitedSet is the deduplication structure every driver shares: the
+// lock-free open-addressing fingerprint table of vtable.go, keyed by
+// the state hash (model.World.AppendHash
 // or AppendCanonicalHash: the multiply-fold hash64 over the encoding,
 // unseeded, so fingerprints and with them compact-mode omissions repeat
 // run to run) and tracking for each state the shallowest depth at
@@ -156,44 +156,10 @@ func markVisited(v *visitedSet, w *model.World, depth int, buf []byte) (markResu
 	return m, buf, err
 }
 
-// clonePath deep-copies a counterexample path, including each step's
-// Notes slice. Violations must own their paths outright: the engines
-// keep extending and recycling frontier paths (and parallel workers do
-// so concurrently), so a captured path that aliases frontier backing
-// arrays could be rewritten after the fact.
-func clonePath(path []model.Step) []model.Step {
-	out := make([]model.Step, len(path))
-	copy(out, path)
-	for i := range out {
-		if out[i].Notes != nil {
-			out[i].Notes = append([]string(nil), out[i].Notes...)
-		}
-	}
-	return out
-}
-
-// SortViolations orders violations canonically (see sortViolations).
-// Exported for sibling engines — the scenario fuzzer (internal/fuzz)
-// reports its violation sets in the same canonical order as the
-// checker so the two are directly comparable.
-func SortViolations(vs []Violation) { sortViolations(vs) }
-
-// DedupeViolations canonically sorts the violations and collapses
-// duplicate (property, description) pairs to the smallest
-// counterexample, in place; it returns the deduplicated prefix.
-func DedupeViolations(vs []Violation) []Violation { return dedupeViolations(vs) }
-
-// ClonePath deep-copies a counterexample path, including per-step
-// Notes (see clonePath). Exported for engines that, like the checker,
-// keep extending shared path buffers while capturing violations.
-func ClonePath(path []model.Step) []model.Step { return clonePath(path) }
-
-// sortViolations orders violations canonically — by property, then
+// SortViolations orders violations canonically — by property, then
 // description, then path length, then the rendered path — so results
-// are stable regardless of discovery order. Sequential and parallel
-// runs of the same world therefore report the same violation list in
-// the same order.
-func sortViolations(vs []Violation) {
+// are stable regardless of discovery order.
+func SortViolations(vs []Violation) {
 	sort.SliceStable(vs, func(i, j int) bool {
 		a, b := vs[i], vs[j]
 		if a.Property != b.Property {
@@ -215,4 +181,21 @@ func renderPath(path []model.Step) string {
 		s += st.String() + "\n"
 	}
 	return s
+}
+
+// DedupeViolations canonically sorts the violations and collapses
+// duplicate (property, description) pairs to the smallest
+// counterexample, in place; it returns the deduplicated prefix. The
+// scenario fuzzer (internal/fuzz) reports its violation sets through it
+// so they compare directly with the checker's.
+func DedupeViolations(vs []Violation) []Violation {
+	SortViolations(vs)
+	out := vs[:0]
+	for _, v := range vs {
+		if len(out) > 0 && out[len(out)-1].Property == v.Property && out[len(out)-1].Desc == v.Desc {
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
 }

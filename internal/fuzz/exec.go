@@ -189,7 +189,7 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 			res.violations = append(res.violations, check.Violation{
 				Property: p.Name(),
 				Desc:     desc,
-				Path:     check.ClonePath(append(append([]model.Step(nil), base...), x.path...)),
+				Path:     clonePath(append(append([]model.Step(nil), base...), x.path...)),
 			})
 		}
 		return nil
@@ -246,4 +246,19 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 	res.end = w.Clone()
 	res.path = append(append([]model.Step(nil), base...), x.path...)
 	return res, nil
+}
+
+// clonePath deep-copies a counterexample path, including each step's
+// Notes slice: a captured violation must own its path outright, since
+// the executor keeps extending and recycling the buffers it was built
+// from.
+func clonePath(path []model.Step) []model.Step {
+	out := make([]model.Step, len(path))
+	copy(out, path)
+	for i := range out {
+		if out[i].Notes != nil {
+			out[i].Notes = append([]string(nil), out[i].Notes...)
+		}
+	}
+	return out
 }

@@ -5,9 +5,9 @@
 // For every transition edge of every spec it extracts an effect set —
 // globals read and written, messages sent per (system, domain, proto)
 // channel, cross-layer outputs, machines touched — by probing the
-// opaque guard/action closures with a recording fsm.Ctx, the same
-// technique internal/lint's message-flow passes use, extended into
-// full per-edge summaries. Because namespaced specs
+// opaque guard/action closures with a recording fsm.Ctx (internal/lint's
+// message-flow, variable and guard-overlap passes read the same
+// summaries, so a spec is probed once). Because namespaced specs
 // (fsm.NamespaceGlobals) rewrite globals on the live context, probing
 // them yields namespace-resolved effect sets with no extra work.
 //
@@ -42,8 +42,9 @@ import (
 )
 
 // probeDefaults are the constant values every variable takes during one
-// probe run — the same family internal/lint uses: the small enums that
-// guards compare against plus the S5 modulation orders.
+// probe run: the small enums that guards compare against (types.System
+// 0/1/2, names.Switch* 0/1/2, booleans) plus the modulation orders of
+// S5 (16QAM/64QAM).
 var probeDefaults = []int{0, 1, 2, 3, 16, 64}
 
 // ChannelRef identifies one message flow out of an edge: the addressed
@@ -109,15 +110,20 @@ type EdgeEffects struct {
 	// Sends lists recorded Ctx.Send flows; Outputs lists Ctx.Output
 	// flows (To empty until resolved against a world's OutputTo).
 	Sends, Outputs []ChannelRef
-	// GuardTrue reports that at least one probe satisfied the guard
-	// (always true for unguarded edges).
-	GuardTrue bool
+	// GuardHolds lists the probe defaults under which the guard returned
+	// true (every probe default for an unguarded edge; a probe the guard
+	// panicked under does not count).
+	GuardHolds []int
 	// Panicked reports that the guard or action panicked under at
 	// least one probe. The edge is still summarized exactly once, with
 	// the facts recorded before each panic merged in; consumers must
 	// treat a panicked edge conservatively (it may do anything).
 	Panicked bool
 }
+
+// GuardTrue reports that at least one probe satisfied the guard (always
+// true for unguarded edges).
+func (e EdgeEffects) GuardTrue() bool { return len(e.GuardHolds) > 0 }
 
 // SpecEffects aggregates the per-edge summaries of one spec.
 type SpecEffects struct {
@@ -233,7 +239,6 @@ func probeEdge(s *fsm.Spec, i int) EdgeEffects {
 	e := EdgeEffects{Transition: t.Name, Index: i, From: t.From, To: t.To, On: t.On}
 	reads, writes := map[string]bool{}, map[string]bool{}
 	ev := fsm.Ev(t.On)
-	guardTrue := t.Guard == nil
 	for _, def := range probeDefaults {
 		guardOK := true
 		if t.Guard != nil {
@@ -245,8 +250,8 @@ func probeEdge(s *fsm.Spec, i int) EdgeEffects {
 			}
 			mergeAccess(reads, writes, rec)
 		}
-		if guardOK && t.Guard != nil {
-			guardTrue = true
+		if guardOK {
+			e.GuardHolds = append(e.GuardHolds, def)
 		}
 		if t.Action != nil {
 			rec := newRecorder(def)
@@ -258,7 +263,6 @@ func probeEdge(s *fsm.Spec, i int) EdgeEffects {
 			e.Outputs = append(e.Outputs, rec.outs...)
 		}
 	}
-	e.GuardTrue = guardTrue
 	e.Reads, e.LocalReads = splitGlobals(reads)
 	e.Writes, e.LocalWrites = splitGlobals(writes)
 	e.Sends = dedupChannels(e.Sends)
@@ -652,7 +656,7 @@ func SpecText(se *SpecEffects) string {
 		for _, o := range e.Outputs {
 			fmt.Fprintf(&b, "  %s\n", o)
 		}
-		if !e.GuardTrue {
+		if !e.GuardTrue() {
 			b.WriteString("  guard: unsatisfied under every probe\n")
 		}
 		if e.Panicked {

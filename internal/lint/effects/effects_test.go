@@ -185,7 +185,7 @@ func TestProbeEdgePanicSummarizedOnce(t *testing.T) {
 	if !e.Panicked {
 		t.Error("Panicked not set")
 	}
-	if !e.GuardTrue {
+	if !e.GuardTrue() {
 		t.Error("GuardTrue false: probe default 2 satisfies the guard")
 	}
 	if !reflect.DeepEqual(e.Reads, []string{"g.mode"}) {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"cnetverifier/internal/fsm"
@@ -9,10 +11,11 @@ import (
 
 // TestProbePanickingGuardOnce is the regression test for the probing
 // panic discipline: a transition whose guard panics under some probe
-// defaults must still be summarized exactly once — one transFacts
-// entry, sends counted once in the spec rollup, GuardTrue listing only
-// the defaults that actually satisfied the guard, and the facts the
-// recorder captured before each panic preserved.
+// defaults must still be summarized exactly once — one edge summary
+// (effects.EdgeEffects, the one probe lint reads), sends counted once in
+// the spec rollup, GuardHolds listing only the defaults that actually
+// satisfied the guard, and the facts the recorder captured before each
+// panic preserved.
 func TestProbePanickingGuardOnce(t *testing.T) {
 	s := &fsm.Spec{
 		Name: "panicky",
@@ -39,26 +42,26 @@ func TestProbePanickingGuardOnce(t *testing.T) {
 	}
 
 	sf := buildSpecFacts(s)
-	if len(sf.PerTransition) != 1 {
-		t.Fatalf("spec has %d transition summaries, want exactly 1 (no double count)", len(sf.PerTransition))
+	if len(sf.Edges) != 1 {
+		t.Fatalf("spec has %d transition summaries, want exactly 1 (no double count)", len(sf.Edges))
 	}
-	tf := sf.PerTransition[0]
+	tf := sf.Edges[0]
 	if !tf.Panicked {
 		t.Error("Panicked not set for a guard that panics under some probes")
 	}
-	if len(tf.GuardTrue) != 1 || tf.GuardTrue[0] != 2 {
-		t.Errorf("GuardTrue = %v, want [2]: panicked probes must not count as satisfied", tf.GuardTrue)
+	if len(tf.GuardHolds) != 1 || tf.GuardHolds[0] != 2 {
+		t.Errorf("GuardHolds = %v, want [2]: panicked probes must not count as satisfied", tf.GuardHolds)
 	}
-	if !tf.Reads["g.mode"] {
+	if !slices.Contains(tf.Reads, "g.mode") || !sf.Reads["g.mode"] {
 		t.Error("read recorded before the panic was lost")
 	}
-	if len(tf.Sends) != 1 || tf.Sends[0] != (sendFact{To: "peer", Kind: types.MsgAttachRequest}) {
+	if len(tf.Sends) != 1 || tf.Sends[0].To != "peer" || tf.Sends[0].Kind != types.MsgAttachRequest {
 		t.Errorf("Sends = %v, want exactly one AttachRequest to peer", tf.Sends)
 	}
-	if len(sf.Sends) != 1 {
+	if len(sf.Sends) != 1 || sf.Sends[0] != (sendFact{To: "peer", Kind: types.MsgAttachRequest}) {
 		t.Errorf("spec-level Sends = %v, want the send counted once", sf.Sends)
 	}
-	if !tf.Writes["g.done"] {
+	if !slices.Contains(tf.Writes, "g.done") || !sf.Writes["g.done"] {
 		t.Error("action write not recorded")
 	}
 }
@@ -82,17 +85,17 @@ func TestProbePanickingActionKeepsPartialFacts(t *testing.T) {
 		},
 	}
 	sf := buildSpecFacts(s)
-	tf := sf.PerTransition[0]
+	tf := sf.Edges[0]
 	if !tf.Panicked {
 		t.Error("Panicked not set for a panicking action")
 	}
-	if !tf.Writes["g.before"] {
+	if !slices.Contains(tf.Writes, "g.before") || !sf.Writes["g.before"] {
 		t.Error("write before the panic was lost")
 	}
-	if len(tf.Sends) != 1 {
+	if len(tf.Sends) != 1 || len(sf.Sends) != 1 {
 		t.Errorf("Sends = %v, want the pre-panic send exactly once across all probes", tf.Sends)
 	}
-	if len(tf.GuardTrue) != len(probeDefaults) {
-		t.Errorf("GuardTrue = %v: an unguarded transition is satisfied under every probe regardless of action panics", tf.GuardTrue)
+	if !reflect.DeepEqual(tf.GuardHolds, []int{0, 1, 2, 3, 16, 64}) {
+		t.Errorf("GuardHolds = %v: an unguarded transition is satisfied under every probe regardless of action panics", tf.GuardHolds)
 	}
 }

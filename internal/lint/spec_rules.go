@@ -103,7 +103,7 @@ func lintOverlap(r *Report, o Options, s *fsm.Spec, facts *specFacts) {
 				if ti.Guard == nil || ti.On != tj.On || !applies(ti, st) || reported[pair{i, j}] {
 					continue
 				}
-				if def, ok := commonProbe(facts.PerTransition[i].GuardTrue, facts.PerTransition[j].GuardTrue); ok {
+				if def, ok := commonProbe(facts.Edges[i].GuardHolds, facts.Edges[j].GuardHolds); ok {
 					reported[pair{i, j}] = true
 					r.add(o, Finding{Rule: RuleOverlap, Severity: Warn, Spec: s.Name,
 						State: string(st), Transition: tj.Name,

@@ -20,6 +20,15 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== seeded-RNG idiom (stats.NewRand is the one seeded constructor outside tests) =="
+# bench/ is the benchmark's own module, frozen apart from this tree.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=bench \
+    'rand\.NewSource(' . | grep -v '^\./internal/stats/'; then
+    echo "rand.NewSource outside internal/stats: use stats.NewRand(seed)"
+    exit 1
+fi
+echo ok
+
 echo "== go build =="
 go build ./...
 

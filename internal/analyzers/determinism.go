@@ -20,8 +20,9 @@ import (
 //   - time.Now() — wall-clock input makes replay diverge;
 //   - the package-level math/rand functions — they draw from the
 //     globally seeded source, so results depend on whatever else ran.
-//     Explicitly seeded generators (rand.New(rand.NewSource(seed)))
-//     are the sanctioned idiom and are not flagged.
+//     Explicitly seeded generators are not flagged; stats.NewRand(seed)
+//     is the sanctioned idiom (math/rand's seeded stream, seeded in
+//     O(1); ci.sh keeps rand.NewSource inside internal/stats).
 //
 // The map-iteration check is type-driven when type information is
 // available and silent otherwise (a syntactic guess would drown the
@@ -104,7 +105,7 @@ func checkCall(pass *Pass, call *ast.CallExpr, timeName, randName string) {
 	case randName != "" && recv.Name == randName && !seededRandFuncs[sel.Sel.Name]:
 		pass.Report(Diagnostic{
 			Pos: call.Pos(),
-			Message: fmt.Sprintf("globally-seeded rand.%s: use rand.New(rand.NewSource(seed)) so runs are reproducible",
+			Message: fmt.Sprintf("globally-seeded rand.%s: use stats.NewRand(seed) so runs are reproducible",
 				sel.Sel.Name),
 		})
 	}

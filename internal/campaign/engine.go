@@ -11,6 +11,7 @@ import (
 
 	"cnetverifier/internal/netemu"
 	"cnetverifier/internal/radio"
+	"cnetverifier/internal/stats"
 	"cnetverifier/internal/userstudy"
 	"cnetverifier/internal/workload"
 )
@@ -268,7 +269,7 @@ func Run(cfg Config) (*Report, error) {
 // simShard simulates one shard of UEs to the horizon. Everything it
 // touches is shard-private; the only shared input is the Config.
 func simShard(cfg Config, shard, n int, horizonTicks, ticksPerBucket int32, nBuckets int, acc *shardAcc) {
-	rng := rand.New(rand.NewSource(shardSeed(cfg.Seed, shard)))
+	rng := stats.NewRand(shardSeed(cfg.Seed, shard))
 	for e := range acc.load {
 		acc.load[e] = make([]int64, nBuckets)
 	}

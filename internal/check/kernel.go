@@ -279,21 +279,22 @@ func (e *engine) finish(workers []*worker) (*Result, error) {
 	}
 	if len(workers) > 1 {
 		SortViolations(res.Violations)
-		if err := reverify(e.w0, e.props, res.Violations); err != nil {
+		if err := Reverify(e.w0, e.props, res.Violations); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// reverify replays every counterexample against the initial world and
+// Reverify replays every counterexample against the initial world and
 // confirms the violated property reports the same description on the
 // replayed state. Parallel workers hand over paths across goroutines;
 // this is the engine's proof to the caller that no captured path was
 // corrupted by frontier reuse and that each violation is reproducible
 // before it leaves the package (mirroring the paper's screening →
-// validation hand-off, §3.2.3).
-func reverify(w0 *model.World, props []Property, vs []Violation) error {
+// validation hand-off, §3.2.3). The scenario fuzzer gives the same
+// proof for its counterexamples through it.
+func Reverify(w0 *model.World, props []Property, vs []Violation) error {
 	// Several monitors may share one property name (per-instance
 	// monitors of a multi-UE world, e.g. props.DataServiceOKIn); a
 	// violation reproduces when any monitor of its name reports the

@@ -2,6 +2,7 @@ package check
 
 import (
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"cnetverifier/internal/model"
@@ -158,29 +159,66 @@ func markVisited(v *visitedSet, w *model.World, depth int, buf []byte) (markResu
 
 // SortViolations orders violations canonically — by property, then
 // description, then path length, then the rendered path — so results
-// are stable regardless of discovery order.
+// are stable regardless of discovery order. Each path is rendered at
+// most once per sort.
 func SortViolations(vs []Violation) {
-	sort.SliceStable(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.Property != b.Property {
-			return a.Property < b.Property
-		}
-		if a.Desc != b.Desc {
-			return a.Desc < b.Desc
-		}
-		if len(a.Path) != len(b.Path) {
-			return len(a.Path) < len(b.Path)
-		}
-		return renderPath(a.Path) < renderPath(b.Path)
-	})
+	sort.Stable(&violationOrder{vs: vs, rendered: make([]string, len(vs))})
+}
+
+// violationOrder is SortViolations' sort.Interface: the violations with
+// their rendered paths alongside, each filled on first comparison and
+// swapped with its violation.
+type violationOrder struct {
+	vs       []Violation
+	rendered []string
+}
+
+func (o *violationOrder) Len() int { return len(o.vs) }
+
+func (o *violationOrder) Swap(i, j int) {
+	o.vs[i], o.vs[j] = o.vs[j], o.vs[i]
+	o.rendered[i], o.rendered[j] = o.rendered[j], o.rendered[i]
+}
+
+func (o *violationOrder) Less(i, j int) bool {
+	a, b := &o.vs[i], &o.vs[j]
+	if a.Property != b.Property {
+		return a.Property < b.Property
+	}
+	if a.Desc != b.Desc {
+		return a.Desc < b.Desc
+	}
+	if len(a.Path) != len(b.Path) {
+		return len(a.Path) < len(b.Path)
+	}
+	return o.render(i) < o.render(j)
+}
+
+func (o *violationOrder) render(i int) string {
+	if o.rendered[i] == "" { // an empty path renders as "" again, for free
+		o.rendered[i] = renderPath(o.vs[i].Path)
+	}
+	return o.rendered[i]
+}
+
+// PathLess reports whether counterexample path a precedes b in the
+// canonical order, for two violations of one (property, description)
+// pair: the shorter path first, then the smaller rendered path.
+// DedupeViolations keeps the least path of each pair under it.
+func PathLess(a, b []model.Step) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	return renderPath(a) < renderPath(b)
 }
 
 func renderPath(path []model.Step) string {
-	s := ""
+	var b strings.Builder
 	for _, st := range path {
-		s += st.String() + "\n"
+		b.WriteString(st.String())
+		b.WriteByte('\n')
 	}
-	return s
+	return b.String()
 }
 
 // DedupeViolations canonically sorts the violations and collapses

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"cnetverifier/internal/model"
+	"cnetverifier/internal/stats"
 )
 
 // walkSeed derives an independent RNG seed for one walk from the run
@@ -18,11 +19,13 @@ func walkSeed(seed int64, walk int) int64 {
 }
 
 // walker is per-worker scratch for random walks: a world refreshed with
-// CloneInto at the start of each walk, the steps buffer, and the nodes
-// of the current walk's path (a walk is at most MaxDepth long), so
-// sampling thousands of schedules reuses one allocation footprint.
+// CloneInto at the start of each walk, the RNG reseeded per walk, the
+// steps buffer, and the nodes of the current walk's path (a walk is at
+// most MaxDepth long), so sampling thousands of schedules reuses one
+// allocation footprint.
 type walker struct {
 	w     model.World
+	rng   *rand.Rand
 	steps []model.Step
 	path  []pathNode
 }
@@ -33,7 +36,7 @@ type walker struct {
 func runWalks(e *engine, workers []*worker) {
 	var next atomic.Int64
 	fanOut(workers, func(wk *worker) {
-		k := &walker{path: make([]pathNode, e.opt.MaxDepth)}
+		k := &walker{rng: stats.NewRand(0), path: make([]pathNode, e.opt.MaxDepth)}
 		for !wk.halted() {
 			walk := int(next.Add(1)) - 1
 			if walk >= e.opt.Walks {
@@ -49,7 +52,7 @@ func runWalks(e *engine, workers []*worker) {
 // let the kernel apply, tally, check and mark it.
 func (wk *worker) walk(k *walker, walk int) {
 	e := wk.e
-	rng := rand.New(rand.NewSource(walkSeed(e.opt.Seed, walk)))
+	k.rng.Seed(walkSeed(e.opt.Seed, walk))
 	e.root.CloneInto(&k.w)
 	var prev *pathNode
 	for depth := 0; depth < e.opt.MaxDepth; depth++ {
@@ -58,7 +61,7 @@ func (wk *worker) walk(k *walker, walk int) {
 			return
 		}
 		wk.maxDepth = max(wk.maxDepth, depth+1)
-		applied, _, ok := wk.step(&k.w, prev, k.steps[rng.Intn(len(k.steps))], depth)
+		applied, _, ok := wk.step(&k.w, prev, k.steps[k.rng.Intn(len(k.steps))], depth)
 		if !ok {
 			return
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -101,7 +100,7 @@ type Figure7Point struct {
 func Figure7CallSetup(p netemu.OperatorProfile, speedMPH float64, seed int64) []Figure7Point {
 	route := radio.Route1()
 	pl := radio.DefaultPathLoss()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 
 	var pts []Figure7Point
 	milesPerSec := speedMPH / 3600
@@ -165,7 +164,7 @@ func RenderFigure7(pts []Figure7Point) string {
 // keyed "OP-I/LAU", "OP-I/RAU", "OP-II/LAU", "OP-II/RAU".
 func Figure8CDFs(n int, seed int64) map[string]*stats.CDF {
 	out := make(map[string]*stats.CDF)
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	for _, p := range netemu.Operators() {
 		var lau, rau []float64
 		for i := 0; i < n; i++ {
@@ -209,7 +208,7 @@ func figure9Hours() [][2]int {
 // Figure9Rates measures the PS rate with and without a concurrent CS
 // call per time-of-day bucket for one operator and direction.
 func Figure9Rates(p netemu.OperatorProfile, uplink bool, runsPerBucket int, seed int64) []Figure9Bucket {
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	var out []Figure9Bucket
 	for _, hh := range figure9Hours() {
 		label := fmt.Sprintf("%d-%d", hh[0], hh[1])

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"cnetverifier/internal/netemu"
+	"cnetverifier/internal/stats"
 )
 
 // InflationPoint quantifies §7's closing observation — "though some
@@ -35,7 +35,7 @@ type InflationPoint struct {
 // per-call S6 probability is the §7-observed 2.6%.
 func InflationSweep(rates []float64, horizon time.Duration, fixed bool, seed int64) []InflationPoint {
 	p := netemu.OPII()
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	const pS6 = 5.0 / 190 // §7: 5 S6 events in 190 CSFB calls
 
 	var out []InflationPoint

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cnetverifier/internal/netemu"
+	"cnetverifier/internal/stats"
 	"cnetverifier/internal/workload"
 )
 
@@ -34,7 +34,7 @@ func (s S5Stats) String() string {
 // the campaign engine reproduces the same per-call accounting from its
 // own deterministic stream.
 func S5AffectedVolumes(calls int, seed int64) S5Stats {
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	ch := netemu.SharedChannelFor(netemu.OPII(), netemu.FixSet{}, false)
 	ch.CallActive = true
 	model := workload.DefaultS5CallModel()

@@ -109,6 +109,32 @@ func (c *Coverage) Merge(other *Coverage) int {
 	return fresh
 }
 
+// hasNew reports whether c holds a bit base lacks — whether Merge of c
+// into base, or into any superset of base, could report new bits.
+func (c *Coverage) hasNew(base *Coverage) bool {
+	for i, words := range c.trans {
+		for w, bits := range words {
+			if bits&^base.trans[i][w] != 0 {
+				return true
+			}
+		}
+	}
+	for k := range c.pairs {
+		if _, seen := base.pairs[k]; !seen {
+			return true
+		}
+	}
+	return false
+}
+
+// reset empties c in place for reuse by the next run.
+func (c *Coverage) reset() {
+	for _, words := range c.trans {
+		clear(words)
+	}
+	clear(c.pairs)
+}
+
 func popcount(x uint64) int {
 	n := 0
 	for ; x != 0; x &= x - 1 {

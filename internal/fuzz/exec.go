@@ -6,6 +6,7 @@ import (
 
 	"cnetverifier/internal/check"
 	"cnetverifier/internal/model"
+	"cnetverifier/internal/stats"
 )
 
 // Schedule is one fuzzing input: an ordered list of environment events
@@ -101,14 +102,22 @@ type candidate struct {
 	tail   []model.EnvEvent
 }
 
-// executor is per-worker scratch: one reusable world refreshed with
-// CloneInto per schedule (the PR-4 pooling discipline) plus step and
-// path buffers, so executing thousands of schedules keeps one
-// allocation footprint.
+// executor is one worker's state for a whole Fuzz / RandomBaseline
+// call: a world refreshed with CloneInto per schedule (the PR-4 pooling
+// discipline), the execution RNG reseeded per schedule, step and path
+// buffers, and the coverage scratch a run records into, so executing
+// thousands of schedules keeps one allocation footprint.
 type executor struct {
-	w     *model.World
+	w     model.World
+	rng   *rand.Rand
+	cov   *Coverage
+	seen  map[string]struct{}
 	steps []model.Step
 	path  []model.Step
+}
+
+func newExecutor(w0 *model.World) *executor {
+	return &executor{rng: stats.NewRand(0), cov: NewCoverage(w0), seen: make(map[string]struct{})}
 }
 
 // execResult is the outcome of executing one schedule.
@@ -118,7 +127,9 @@ type execResult struct {
 	// cov covers the transitions this run itself applied (merged by the
 	// caller in candidate order, so parallel execution stays
 	// deterministic). Resumed runs cover only their tail: the prefix was
-	// already merged when the parent entered the corpus.
+	// already merged when the parent entered the corpus. It is nil when
+	// the run lit up nothing the round-start coverage lacked: merging it
+	// into that coverage, or any superset, would report no new bit.
 	cov *Coverage
 	// violations holds one entry per distinct (property, description)
 	// pair reached by this run, each with a concrete replayable path
@@ -126,7 +137,9 @@ type execResult struct {
 	violations []check.Violation
 	// end and path snapshot the final world and full concrete path so
 	// the input can enter the corpus (cloned — the executor's own
-	// buffers are reused for the next run).
+	// buffers are reused for the next run). Like cov, they are taken only
+	// when the run has coverage the round start lacks: no other run can
+	// enter the corpus.
 	end  *model.World
 	path []model.Step
 }
@@ -139,12 +152,10 @@ type execResult struct {
 // events), then up to opt.Drain queued messages are processed, the
 // seed's RNG picking among the enabled delivery/drop branches.
 // Properties are checked after every applied step; a violating step
-// captures the full path from w0 as a counterexample.
-func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []check.Property, opt Options) (execResult, error) {
-	if x.w == nil {
-		x.w = &model.World{}
-	}
-	w := x.w
+// captures the full path from w0 as a counterexample. roundCov is the
+// coverage merged before this round, read-only while the round runs.
+func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []check.Property, opt Options, roundCov *Coverage) (execResult, error) {
+	w := &x.w
 	events := c.sched.Events
 	var base []model.Step
 	if c.parent >= 0 {
@@ -160,10 +171,12 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 			w.ScaleTimerBounds(t.Proc, t.Name, t.LoPct, t.HiPct)
 		}
 	}
-	rng := rand.New(rand.NewSource(c.sched.Seed))
-	res := execResult{cov: NewCoverage(w0)}
+	rng := x.rng
+	rng.Seed(c.sched.Seed)
+	x.cov.reset()
+	clear(x.seen)
 	x.path = x.path[:0]
-	var seen map[string]struct{}
+	var res execResult
 
 	apply := func(s model.Step) error {
 		applied, err := w.Apply(s)
@@ -171,7 +184,7 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 			return fmt.Errorf("fuzz: apply %v: %w", s, err)
 		}
 		res.steps++
-		res.cov.Note(w, applied)
+		x.cov.Note(w, applied)
 		x.path = append(x.path, applied)
 		for _, p := range props {
 			desc := p.Check(w, applied)
@@ -179,17 +192,14 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 				continue
 			}
 			key := p.Name() + "\x00" + desc
-			if _, dup := seen[key]; dup {
+			if _, dup := x.seen[key]; dup {
 				continue
 			}
-			if seen == nil {
-				seen = make(map[string]struct{})
-			}
-			seen[key] = struct{}{}
+			x.seen[key] = struct{}{}
 			res.violations = append(res.violations, check.Violation{
 				Property: p.Name(),
 				Desc:     desc,
-				Path:     clonePath(append(append([]model.Step(nil), base...), x.path...)),
+				Path:     clonePath(base, x.path),
 			})
 		}
 		return nil
@@ -243,18 +253,20 @@ func (x *executor) run(w0 *model.World, corpus []entry, c candidate, props []che
 	if err := drain(); err != nil {
 		return res, err
 	}
-	res.end = w.Clone()
-	res.path = append(append([]model.Step(nil), base...), x.path...)
+	if x.cov.hasNew(roundCov) {
+		res.cov, x.cov = x.cov, NewCoverage(w0) // hand the scratch over
+		res.end = w.Clone()
+		res.path = append(append(make([]model.Step, 0, len(base)+len(x.path)), base...), x.path...)
+	}
 	return res, nil
 }
 
-// clonePath deep-copies a counterexample path, including each step's
-// Notes slice: a captured violation must own its path outright, since
-// the executor keeps extending and recycling the buffers it was built
-// from.
-func clonePath(path []model.Step) []model.Step {
-	out := make([]model.Step, len(path))
-	copy(out, path)
+// clonePath deep-copies the counterexample path base+tail, including
+// each step's Notes slice: a captured violation must own its path
+// outright, since the executor keeps extending and recycling the
+// buffers it was built from.
+func clonePath(base, tail []model.Step) []model.Step {
+	out := append(append(make([]model.Step, 0, len(base)+len(tail)), base...), tail...)
 	for i := range out {
 		if out[i].Notes != nil {
 			out[i].Notes = append([]string(nil), out[i].Notes...)

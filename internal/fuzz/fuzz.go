@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"cnetverifier/internal/check"
 	"cnetverifier/internal/model"
 	"cnetverifier/internal/scenario"
+	"cnetverifier/internal/stats"
 )
 
 // Options configures a fuzzing run.
@@ -107,6 +109,53 @@ type Result struct {
 	PairsCovered     int `json:"pairs_covered"`
 }
 
+// ErrNoLiveEvent reports a world on which no schedule can apply a step:
+// no pool event is enabled at the initial world and nothing is queued or
+// armed there, so a run could never spend its step budget.
+var ErrNoLiveEvent = errors.New("fuzz: no pool event is enabled at the initial world, so no schedule can apply a step")
+
+// session is what one Fuzz or RandomBaseline call keeps across its
+// rounds: one executor per worker, the mutation RNG (reseeded per
+// candidate), the result being merged, and one counterexample per
+// (property, description) pair.
+type session struct {
+	w0    *model.World
+	props []check.Property
+	opt   Options
+	xs    []*executor
+	mut   *rand.Rand
+	res   *Result
+	// violations holds, per pair, the counterexample DedupeViolations
+	// would keep of all those merged so far — the shortest path, then the
+	// smaller rendered path, the earlier on a tie; byKey indexes it.
+	violations []check.Violation
+	byKey      map[string]int
+}
+
+func newSession(w0 *model.World, props []check.Property, opt Options) (*session, error) {
+	opt = opt.withDefaults()
+	if len(opt.Pool) == 0 {
+		return nil, fmt.Errorf("fuzz: empty event pool")
+	}
+	s := &session{
+		w0: w0, props: props, opt: opt,
+		mut:   stats.NewRand(0),
+		res:   &Result{Coverage: NewCoverage(w0)},
+		byKey: make(map[string]int),
+	}
+	for range opt.Workers {
+		s.xs = append(s.xs, newExecutor(w0))
+	}
+	return s, nil
+}
+
+// rng reseeds the mutation RNG for candidate idx of the round, so the
+// candidate is the same whatever was drawn before it.
+func (s *session) rng(round, idx int) *rand.Rand {
+	s.mut.Seed(mutSeed(s.opt.Seed, round, idx))
+	return s.mut
+}
+
 // Fuzz runs the coverage-guided loop over the world: seed the corpus,
 // then mutate–execute–keep rounds until the step budget is spent.
 //
@@ -117,12 +166,11 @@ type Result struct {
 // candidate order, and the corpus snapshot mutators see is the one from
 // the round start, so worker scheduling never influences anything.
 func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if len(opt.Pool) == 0 {
-		return nil, fmt.Errorf("fuzz: empty event pool")
+	s, err := newSession(w0, props, opt)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &Result{Coverage: NewCoverage(w0)}
+	opt, res := s.opt, s.res
 	var corpus []entry
 
 	// Round 0: the seed corpus — caller-provided schedules, one
@@ -130,8 +178,8 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 	// before mutation starts), and one round of fresh random schedules
 	// so mutation starts from deep parents, not only singletons.
 	seeds := make([]candidate, 0, len(opt.Corpus)+len(opt.Pool)+len(opt.TimerPool)+opt.RoundSize)
-	for _, s := range opt.Corpus {
-		seeds = append(seeds, candidate{sched: s.clone(), parent: -1})
+	for _, sc := range opt.Corpus {
+		seeds = append(seeds, candidate{sched: sc.clone(), parent: -1})
 	}
 	for i, e := range append(append([]model.EnvEvent(nil), opt.Pool...), opt.TimerPool...) {
 		seeds = append(seeds, candidate{
@@ -140,8 +188,7 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 		})
 	}
 	for i := 0; i < opt.RoundSize; i++ {
-		rng := rand.New(rand.NewSource(mutSeed(opt.Seed, 0, len(seeds)+i)))
-		seeds = append(seeds, candidate{sched: freshSchedule(opt.Pool, opt.MaxEvents, rng), parent: -1})
+		seeds = append(seeds, candidate{sched: freshSchedule(opt.Pool, opt.MaxEvents, s.rng(0, len(seeds)+i)), parent: -1})
 	}
 
 	// ran tracks executed genomes: a mutant identical to an already
@@ -149,8 +196,8 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 	// re-walk a known path step for step — resample instead of wasting
 	// budget on it.
 	ran := make(map[uint64]struct{})
-	note := func(s Schedule) bool {
-		h := s.genomeHash()
+	note := func(sc Schedule) bool {
+		h := sc.genomeHash()
 		if _, dup := ran[h]; dup {
 			return false
 		}
@@ -168,27 +215,22 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 	const epsMin, epsMax = 0.125, 0.875
 	eps := epsMax
 	var bits, steps [2]int // cumulative per class: 0 = mutant, 1 = fresh
-	var violations []check.Violation
 	runRound := func(cands []candidate, fresh []bool) error {
-		results, err := executeAll(w0, corpus, props, cands, opt)
+		results, err := s.execute(corpus, cands)
 		if err != nil {
 			return err
 		}
-		res.Rounds++
 		for i, r := range results {
-			res.Schedules++
-			res.Steps += r.steps
 			class := 0
 			if fresh == nil || fresh[i] {
 				class = 1
 			}
 			steps[class] += r.steps
-			if neu := res.Coverage.Merge(r.cov); neu > 0 {
+			if neu := s.merge(r); neu > 0 {
 				corpus = append(corpus, entry{sched: cands[i].sched, end: r.end, path: r.path})
 				res.NewCoverageInputs++
 				bits[class] += neu
 			}
-			violations = append(violations, r.violations...)
 		}
 		mutYield, freshYield := yield(bits[0], steps[0]), yield(bits[1], steps[1])
 		if mutYield+freshYield > 0 {
@@ -208,14 +250,20 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 	if err := runRound(seeds, nil); err != nil {
 		return nil, err
 	}
+	// Round 0 injected every pool and timer event at the initial world.
+	// If none applied, no later round can: with nothing kept, every
+	// candidate is a fresh schedule from the same pool at the same world.
+	if res.Steps == 0 {
+		return nil, ErrNoLiveEvent
+	}
 	for round := 1; res.Steps < opt.Budget; round++ {
-		if opt.StopAtFirst && len(violations) > 0 {
+		if opt.StopAtFirst && len(s.violations) > 0 {
 			break
 		}
 		cands := make([]candidate, opt.RoundSize)
 		fresh := make([]bool, opt.RoundSize)
 		for i := range cands {
-			rng := rand.New(rand.NewSource(mutSeed(opt.Seed, round, i)))
+			rng := s.rng(round, i)
 			gen := func() candidate {
 				if fresh[i] = len(corpus) == 0 || rng.Float64() < eps; fresh[i] {
 					return candidate{sched: freshSchedule(opt.Pool, opt.MaxEvents, rng), parent: -1}
@@ -236,14 +284,7 @@ func Fuzz(w0 *model.World, props []check.Property, opt Options) (*Result, error)
 	for i, e := range corpus {
 		res.Corpus[i] = e.sched
 	}
-	res.Violations = check.DedupeViolations(violations)
-	if err := reverify(w0, props, res.Violations); err != nil {
-		return nil, err
-	}
-	res.CoverageDigest = res.Coverage.Digest()
-	res.TransitionsFired, res.TransitionsTotal = res.Coverage.Transitions()
-	res.PairsCovered = res.Coverage.Pairs()
-	return res, nil
+	return s.finish()
 }
 
 // yield is new coverage bits per executed step — the signal the
@@ -259,56 +300,44 @@ func yield(bits, steps int) float64 {
 // corpus) under the same budget accounting — the control arm for the
 // coverage comparison in cnetfuzz -cov-report and EXPERIMENTS.md.
 func RandomBaseline(w0 *model.World, props []check.Property, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if len(opt.Pool) == 0 {
-		return nil, fmt.Errorf("fuzz: empty event pool")
+	s, err := newSession(w0, props, opt)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Coverage: NewCoverage(w0)}
-	var violations []check.Violation
-	for round := 0; res.Steps < opt.Budget; round++ {
+	opt = s.opt
+	// Every schedule is drawn from the pool and starts at the initial
+	// world: if nothing is enabled there, none can apply a step.
+	if len(w0.Clone().StepsAppend(nil, opt.Pool)) == 0 {
+		return nil, ErrNoLiveEvent
+	}
+	for round := 0; s.res.Steps < opt.Budget; round++ {
 		cands := make([]candidate, opt.RoundSize)
 		for i := range cands {
-			rng := rand.New(rand.NewSource(mutSeed(opt.Seed, round, i)))
-			cands[i] = candidate{sched: freshSchedule(opt.Pool, opt.MaxEvents, rng), parent: -1}
+			cands[i] = candidate{sched: freshSchedule(opt.Pool, opt.MaxEvents, s.rng(round, i)), parent: -1}
 		}
-		results, err := executeAll(w0, nil, props, cands, opt)
+		results, err := s.execute(nil, cands)
 		if err != nil {
 			return nil, err
 		}
-		res.Rounds++
 		for _, r := range results {
-			res.Schedules++
-			res.Steps += r.steps
-			res.Coverage.Merge(r.cov)
-			violations = append(violations, r.violations...)
+			s.merge(r)
 		}
 	}
-	res.Violations = check.DedupeViolations(violations)
-	if err := reverify(w0, props, res.Violations); err != nil {
-		return nil, err
-	}
-	res.CoverageDigest = res.Coverage.Digest()
-	res.TransitionsFired, res.TransitionsTotal = res.Coverage.Transitions()
-	res.PairsCovered = res.Coverage.Pairs()
-	return res, nil
+	return s.finish()
 }
 
-// executeAll runs the candidates across opt.Workers goroutines with an
-// atomic job cursor and slot-indexed results, each worker reusing one
-// executor (world + buffers). Results are positionally stable, so the
-// sequential merge that follows is order-deterministic.
-func executeAll(w0 *model.World, corpus []entry, props []check.Property, cands []candidate, opt Options) ([]execResult, error) {
+// execute runs one round's candidates across the executors with an
+// atomic job cursor and slot-indexed results. Results are positionally
+// stable, so the sequential merge that follows is order-deterministic.
+func (s *session) execute(corpus []entry, cands []candidate) ([]execResult, error) {
+	s.res.Rounds++
 	results := make([]execResult, len(cands))
 	errs := make([]error, len(cands))
-	workers := opt.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		var x executor
+	xs := s.xs[:min(len(s.xs), len(cands))]
+	if len(xs) <= 1 {
 		for i, c := range cands {
 			var err error
-			if results[i], err = x.run(w0, corpus, c, props, opt); err != nil {
+			if results[i], err = xs[0].run(s.w0, corpus, c, s.props, s.opt, s.res.Coverage); err != nil {
 				return nil, err
 			}
 		}
@@ -316,17 +345,16 @@ func executeAll(w0 *model.World, corpus []entry, props []check.Property, cands [
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
+	for _, x := range xs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var x executor
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}
-				results[i], errs[i] = x.run(w0, corpus, cands[i], props, opt)
+				results[i], errs[i] = x.run(s.w0, corpus, cands[i], s.props, s.opt, s.res.Coverage)
 			}
 		}()
 	}
@@ -339,30 +367,37 @@ func executeAll(w0 *model.World, corpus []entry, props []check.Property, cands [
 	return results, nil
 }
 
-// reverify replays every counterexample against the initial world and
-// confirms the property reproduces its description — the same proof
-// the parallel checker gives before results leave the package.
-func reverify(w0 *model.World, props []check.Property, vs []check.Violation) error {
-	byName := make(map[string]check.Property, len(props))
-	for _, p := range props {
-		byName[p.Name()] = p
-	}
-	for _, v := range vs {
-		end, err := check.Replay(w0, v.Path)
-		if err != nil {
-			return fmt.Errorf("fuzz: counterexample for %s failed replay re-verification: %w", v.Property, err)
-		}
-		p, ok := byName[v.Property]
-		if !ok {
-			return fmt.Errorf("fuzz: violation of unknown property %q", v.Property)
-		}
-		var last model.Step
-		if len(v.Path) > 0 {
-			last = v.Path[len(v.Path)-1]
-		}
-		if got := p.Check(end, last); got != v.Desc {
-			return fmt.Errorf("fuzz: counterexample for %s does not reproduce on replay: got %q, want %q", v.Property, got, v.Desc)
+// merge folds one result into the run — accounting, counterexamples,
+// coverage — returning how many coverage bits it newly set.
+func (s *session) merge(r execResult) int {
+	s.res.Schedules++
+	s.res.Steps += r.steps
+	for _, v := range r.violations {
+		key := v.Property + "\x00" + v.Desc
+		if i, ok := s.byKey[key]; !ok {
+			s.byKey[key] = len(s.violations)
+			s.violations = append(s.violations, v)
+		} else if check.PathLess(v.Path, s.violations[i].Path) {
+			s.violations[i] = v
 		}
 	}
-	return nil
+	if r.cov == nil {
+		return 0
+	}
+	return s.res.Coverage.Merge(r.cov)
+}
+
+// finish puts the kept counterexamples in canonical order, re-verifies
+// each by replay, and materializes the coverage counters.
+func (s *session) finish() (*Result, error) {
+	res := s.res
+	check.SortViolations(s.violations)
+	res.Violations = s.violations
+	if err := check.Reverify(s.w0, s.props, res.Violations); err != nil {
+		return nil, err
+	}
+	res.CoverageDigest = res.Coverage.Digest()
+	res.TransitionsFired, res.TransitionsTotal = res.Coverage.Transitions()
+	res.PairsCovered = res.Coverage.Pairs()
+	return res, nil
 }

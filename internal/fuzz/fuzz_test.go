@@ -1,11 +1,14 @@
 package fuzz_test
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"cnetverifier/internal/check"
 	"cnetverifier/internal/core"
 	"cnetverifier/internal/fuzz"
 	"cnetverifier/internal/model"
@@ -228,6 +231,71 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := fuzz.DecodeTrace([]byte("step: env|p|0|0|PowerOn|none\n")); err == nil {
 		t.Error("legacy 6-field step accepted")
+	}
+}
+
+// TestReverifySharedMonitorNames: a multi-UE world registers one
+// DataService_OK monitor per UE, so the counterexample of a [ue1]
+// violation reproduces only under the first of them. check.Reverify,
+// which Fuzz and RandomBaseline re-verify through, must accept it — a
+// name-keyed map keeping the last monitor of each name would not.
+func TestReverifySharedMonitorNames(t *testing.T) {
+	s := core.MultiUEWorldShared(2, false)
+	r, err := core.Screen(s, s.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v *check.Violation
+	for i := range r.Result.Violations {
+		if strings.HasSuffix(r.Result.Violations[i].Desc, "[ue1]") {
+			v = &r.Result.Violations[i]
+			break
+		}
+	}
+	if v == nil {
+		t.Fatal("screening the 2-UE shared world found no [ue1] violation")
+	}
+	var last check.Property
+	for _, p := range s.Props {
+		if p.Name() == v.Property {
+			last = p
+		}
+	}
+	end, err := check.Replay(s.World, v.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := last.Check(end, v.Path[len(v.Path)-1]); got == v.Desc {
+		t.Fatalf("the last %s monitor reports %q too; the test would not tell the monitors apart", v.Property, got)
+	}
+	if err := check.Reverify(s.World, s.Props, []check.Violation{*v}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNoLiveEventFailsFast: on the 2-UE shared world the default
+// FullSpace pool names processes the world does not have, so no event
+// is ever enabled. Both loops must return ErrNoLiveEvent instead of
+// spinning below a budget they can never spend.
+func TestNoLiveEventFailsFast(t *testing.T) {
+	s := core.MultiUEWorldShared(2, false)
+	for _, loop := range []struct {
+		name string
+		run  func(*model.World, []check.Property, fuzz.Options) (*fuzz.Result, error)
+	}{{"Fuzz", fuzz.Fuzz}, {"RandomBaseline", fuzz.RandomBaseline}} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := loop.run(s.World, s.Props, fuzz.Options{Budget: 1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, fuzz.ErrNoLiveEvent) {
+				t.Errorf("%s: err = %v, want ErrNoLiveEvent", loop.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return within 10s", loop.name)
+		}
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"container/heap"
 	"math/rand"
 	"time"
+
+	"cnetverifier/internal/stats"
 )
 
 // Sim is a deterministic discrete-event scheduler under virtual time.
@@ -90,7 +92,7 @@ func (t *Timer) Cancel() bool {
 
 // NewSim returns a simulator with a seeded RNG (deterministic runs).
 func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: stats.NewRand(seed)}
 }
 
 // Now returns the current virtual time.

@@ -5,10 +5,10 @@ package ptest
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"cnetverifier/internal/fsm"
+	"cnetverifier/internal/stats"
 	"cnetverifier/internal/types"
 )
 
@@ -163,7 +163,7 @@ func Fuzz(t *testing.T, spec *fsm.Spec, n int, seed int64) {
 	}
 	froms := []string{"", "peer", "net"}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := stats.NewRand(seed)
 	m := fsm.New(spec)
 	c := NewCtx()
 	// Random-but-plausible shared context.

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"cnetverifier/internal/stats"
 )
 
 // Mbps is a data rate in megabits per second.
@@ -305,7 +307,7 @@ type Dropper struct {
 // NewDropper returns a dropper losing the given fraction (0..1) of
 // messages, deterministic per seed.
 func NewDropper(rate float64, seed int64) *Dropper {
-	return &Dropper{rate: clamp01(rate), rng: rand.New(rand.NewSource(seed))}
+	return &Dropper{rate: clamp01(rate), rng: stats.NewRand(seed)}
 }
 
 // Rate returns the configured drop rate.

@@ -16,6 +16,7 @@ import (
 
 	"cnetverifier/internal/model"
 	"cnetverifier/internal/names"
+	"cnetverifier/internal/stats"
 	"cnetverifier/internal/types"
 )
 
@@ -214,7 +215,7 @@ func NewSampler(space Space, perStep int, seed int64) *Sampler {
 	if perStep <= 0 {
 		perStep = 4
 	}
-	return &Sampler{Space: space, PerStep: perStep, rng: rand.New(rand.NewSource(seed))}
+	return &Sampler{Space: space, PerStep: perStep, rng: stats.NewRand(seed)}
 }
 
 // Events implements check.Scenario-compatible sampling.

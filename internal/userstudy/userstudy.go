@@ -18,6 +18,8 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+
+	"cnetverifier/internal/stats"
 )
 
 // Config parameterizes the cohort and the calibrated environmental
@@ -241,7 +243,7 @@ func poisson(rng *rand.Rand, mean float64) int {
 
 // Run simulates the study with the configuration and seed.
 func Run(cfg Config, seed int64) Result {
-	return RunWith(cfg, rand.New(rand.NewSource(seed)))
+	return RunWith(cfg, stats.NewRand(seed))
 }
 
 // RunWith simulates the study drawing every trigger from the supplied

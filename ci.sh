@@ -161,19 +161,23 @@ echo "== cnetfuzz shrink smoke (screen S1, ddmin must terminate + re-verify) =="
 go run ./cmd/cnetfuzz -screen -world s1 -shrink | grep -q '^shrunk '
 echo ok
 
-echo "== sweep smoke (single cell, S1, both worker counts) =="
-go run ./cmd/cnetsim -sweep -findings S1 -loss 0.2 -seeds 4 -workers 1 -format csv >/tmp/sweep1.csv
-go run ./cmd/cnetsim -sweep -findings S1 -loss 0.2 -seeds 4 -workers 8 -format csv >/tmp/sweep8.csv
-cmp /tmp/sweep1.csv /tmp/sweep8.csv
-rm -f /tmp/sweep1.csv /tmp/sweep8.csv
+go build -o /tmp/cnetsim.$$ ./cmd/cnetsim
+
+echo "== sweep smoke (single cell, S1, both worker counts; defective and cross-system-fixed stacks) =="
+for fixes in "" crosssys; do
+    /tmp/cnetsim.$$ -sweep -findings S1 -loss 0.2 -seeds 4 -fixes "$fixes" -workers 1 -format csv >/tmp/sweep1.$$
+    /tmp/cnetsim.$$ -sweep -findings S1 -loss 0.2 -seeds 4 -fixes "$fixes" -workers 8 -format csv >/tmp/sweep8.$$
+    cmp /tmp/sweep1.$$ /tmp/sweep8.$$
+done
+rm -f /tmp/sweep1.$$ /tmp/sweep8.$$
 echo ok
 
 echo "== campaign gates (golden fixture, alloc budget, worker determinism) =="
 go test -run 'TestCampaignGolden|TestCampaignAllocBudget' ./internal/campaign
-go run ./cmd/cnetsim -campaign -ues 20000 -horizon 5m -workers 1 -format json >/tmp/camp1.json
-go run ./cmd/cnetsim -campaign -ues 20000 -horizon 5m -workers 8 -format json >/tmp/camp8.json
-cmp /tmp/camp1.json /tmp/camp8.json
-rm -f /tmp/camp1.json /tmp/camp8.json
+/tmp/cnetsim.$$ -campaign -ues 20000 -horizon 5m -workers 1 -format json >/tmp/camp1.$$
+/tmp/cnetsim.$$ -campaign -ues 20000 -horizon 5m -workers 8 -format json >/tmp/camp8.$$
+cmp /tmp/camp1.$$ /tmp/camp8.$$
+rm -f /tmp/cnetsim.$$ /tmp/camp1.$$ /tmp/camp8.$$
 echo ok
 
 echo "== fuzz smoke (campaign occurrence-row codec, 15s) =="

@@ -5,10 +5,13 @@
 //
 // Usage:
 //
-//	cnettrace [-f FILE] [-module MM] [-system 3G|4G] [-type STATE|SIGNAL|CONFIG|ERROR|INFO]
+//	cnettrace [-f FILE] [-module MM] [-system 3G|4G]
+//	          [-type STATE|SIGNAL|CONFIG|ERROR|INFO|EXPIRY|RETX|ABORT]
 //	          [-contains TEXT] [-span-start TEXT -span-end TEXT] [-count]
 //
-// Without -f the trace is read from stdin.
+// Without -f the trace is read from stdin. Exit status: 0 on success,
+// 1 on an invalid filter or span or an unreadable trace, 2 on a flag
+// syntax error or when the span events are not found.
 package main
 
 import (
@@ -22,38 +25,36 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cnettrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		file      = flag.String("f", "", "trace file (default stdin)")
-		module    = flag.String("module", "", "filter by module")
-		system    = flag.String("system", "", "filter by system (3G or 4G)")
-		typ       = flag.String("type", "", "filter by trace type")
-		contains  = flag.String("contains", "", "filter by description substring")
-		spanStart = flag.String("span-start", "", "measure: description substring of the start event")
-		spanEnd   = flag.String("span-end", "", "measure: description substring of the end event")
-		count     = flag.Bool("count", false, "print only the number of matching records")
+		file      = fs.String("f", "", "trace file (default stdin)")
+		module    = fs.String("module", "", "filter by module")
+		system    = fs.String("system", "", "filter by system (3G or 4G)")
+		typ       = fs.String("type", "", "filter by trace type (STATE, SIGNAL, CONFIG, ERROR, INFO, EXPIRY, RETX or ABORT)")
+		contains  = fs.String("contains", "", "filter by description substring")
+		spanStart = fs.String("span-start", "", "measure: description substring of the start event (needs -span-end)")
+		spanEnd   = fs.String("span-end", "", "measure: description substring of the end event (needs -span-start)")
+		count     = fs.Bool("count", false, "print only the number of matching records")
 	)
-	flag.Parse()
-
-	var r io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cnettrace:", err)
-			os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		defer f.Close()
-		r = f
+		return 2
 	}
-	recs, err := trace.Read(r)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cnettrace:", err)
-		os.Exit(1)
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cnettrace: "+format+"\n", a...)
+		return 1
 	}
 
-	filter := trace.Filter{
-		Module:   *module,
-		Contains: *contains,
-		Type:     trace.Type(*typ),
+	filter := trace.Filter{Module: *module, Contains: *contains, Type: trace.Type(*typ)}
+	if *typ != "" && !knownType(filter.Type) {
+		return fail("unknown type %q (want one of %v)", *typ, trace.Types)
 	}
 	switch *system {
 	case "3G":
@@ -62,28 +63,54 @@ func main() {
 		filter.System = types.Sys4G
 	case "":
 	default:
-		fmt.Fprintf(os.Stderr, "cnettrace: unknown system %q\n", *system)
-		os.Exit(1)
+		return fail("unknown system %q (want 3G or 4G)", *system)
 	}
-	matched := filter.Apply(recs)
+	if (*spanStart == "") != (*spanEnd == "") {
+		return fail("-span-start and -span-end must be given together")
+	}
 
-	if *spanStart != "" || *spanEnd != "" {
+	r := stdin
+	if *file != "" {
+		f, err := os.Open(*file)
+		if err != nil {
+			return fail("%v", err)
+		}
+		defer f.Close()
+		r = f
+	}
+	recs, err := trace.Read(r)
+	if err != nil {
+		return fail("%v", err)
+	}
+
+	if *spanStart != "" {
 		d, ok := trace.Span(recs,
 			trace.Filter{Contains: *spanStart},
 			trace.Filter{Contains: *spanEnd})
 		if !ok {
-			fmt.Fprintln(os.Stderr, "cnettrace: span events not found")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "cnettrace: span events not found")
+			return 2
 		}
-		fmt.Printf("span %q -> %q: %v\n", *spanStart, *spanEnd, d)
-		return
+		fmt.Fprintf(stdout, "span %q -> %q: %v\n", *spanStart, *spanEnd, d)
+		return 0
 	}
 
+	matched := filter.Apply(recs)
 	if *count {
-		fmt.Println(len(matched))
-		return
+		fmt.Fprintln(stdout, len(matched))
+		return 0
 	}
 	for _, rec := range matched {
-		fmt.Println(rec.String())
+		fmt.Fprintln(stdout, rec.String())
 	}
+	return 0
+}
+
+func knownType(t trace.Type) bool {
+	for _, k := range trace.Types {
+		if t == k {
+			return true
+		}
+	}
+	return false
 }

@@ -124,9 +124,12 @@ type Spec struct {
 // Derived returns the value build computes for key on this spec,
 // building it on first use (concurrent first uses may both build; one
 // result wins for everyone). The spec owns what is derived from it —
-// its variable layout, the lint passes' probe results — so all of it is
-// collected with the spec, e.g. an emulator stack after a replay. Keys
-// are an unexported type per caller, as with context.Value.
+// its Validate verdict, its variable layout, the lint passes' probe
+// results — so all of it lives exactly as long as the spec: the
+// emulator's stack specs, built once per configuration and shared by
+// every replay, keep theirs for the process, while a spec built for one
+// model world is collected with it. Keys are an unexported type per
+// caller, as with context.Value.
 func (s *Spec) Derived(key any, build func() any) any {
 	if v, ok := s.derived.Load(key); ok {
 		return v
@@ -135,10 +138,21 @@ func (s *Spec) Derived(key any, build func() any) any {
 	return v
 }
 
+type validateKey struct{}
+
+// validated boxes a Validate verdict for Derived (a nil error is a valid
+// memo entry).
+type validated struct{ err error }
+
 // Validate checks the spec for structural problems: an empty name,
 // a missing initial state, transitions from undeclared states (other
-// than wildcards), or duplicate variable declarations.
+// than wildcards), or duplicate variable declarations. The spec is
+// immutable, so the verdict is computed once and memoized.
 func (s *Spec) Validate() error {
+	return s.Derived(validateKey{}, func() any { return validated{s.validate()} }).(validated).err
+}
+
+func (s *Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("fsm: spec has empty name")
 	}

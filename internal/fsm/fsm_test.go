@@ -67,6 +67,27 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// Validate is memoized on the immutable spec: repeated calls return the
+// same verdict — the identical error value for an invalid spec.
+func TestSpecValidateMemo(t *testing.T) {
+	good := toggleSpec()
+	for i := 0; i < 3; i++ {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("call %d: valid spec rejected: %v", i, err)
+		}
+	}
+	bad := &Spec{Name: "x", Init: "A", Transitions: []Transition{{From: "A", To: "B"}}}
+	first := bad.Validate()
+	if first == nil {
+		t.Fatal("invalid spec accepted")
+	}
+	for i := 0; i < 3; i++ {
+		if err := bad.Validate(); err != first {
+			t.Fatalf("call %d: verdict %v, want the memoized %v", i, err, first)
+		}
+	}
+}
+
 func TestSpecStates(t *testing.T) {
 	got := toggleSpec().States()
 	want := []State{"OFF", "ON"}

@@ -1,6 +1,9 @@
 package netemu
 
 import (
+	"sync"
+
+	"cnetverifier/internal/fsm"
 	"cnetverifier/internal/names"
 	"cnetverifier/internal/protocols/cm"
 	"cnetverifier/internal/protocols/emm"
@@ -59,43 +62,81 @@ func VoLTEStack(w *World, p OperatorProfile, fixes FixSet) {
 	buildStack(w, p, fixes, true)
 }
 
+// stackRow is one process of the standard stack: its proc name, the
+// node hosting it, its spec and its cross-layer output targets.
+type stackRow struct {
+	name     string
+	node     NodeID
+	spec     *fsm.Spec
+	outputTo []string
+}
+
+// stackTables holds one row table per (FixSet, VoLTE) configuration —
+// at most 32 — built on first use. Specs are immutable, so every world
+// of a configuration instantiates fresh machines over the same specs
+// (and their memoized validation and layouts); only machines, globals,
+// simulator and collector are per world.
+var stackTables [32]struct {
+	once sync.Once
+	rows []stackRow
+}
+
 func buildStack(w *World, p OperatorProfile, fixes FixSet, volte bool) {
-	// Device side.
-	w.MustAddProc(names.UEEMM, NodeDevice,
-		emm.DeviceSpec(emm.DeviceOptions{FixReactivateBearer: fixes.CrossSystem}), names.UEESM)
-	w.MustAddProc(names.UEESM, NodeDevice, esm.DeviceSpec(esm.DeviceOptions{}))
-	w.MustAddProc(names.UEGMM, NodeDevice,
-		gmm.DeviceSpec(gmm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate}))
-	w.MustAddProc(names.UESM, NodeDevice,
-		sm.DeviceSpec(sm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate, FixKeepContext: fixes.CrossSystem}))
-	w.MustAddProc(names.UEMM, NodeDevice,
-		mm.DeviceSpec(mm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate}), names.UECM)
-	w.MustAddProc(names.UECM, NodeDevice,
-		cm.DeviceSpec(cm.DeviceOptions{VoLTE: volte}), names.UEMM, names.UERRC3G, names.UERRC4G)
-	w.MustAddProc(names.UERRC3G, NodeDevice,
-		rrc3g.DeviceSpec(rrc3g.DeviceOptions{FixCSFBTag: fixes.DomainDecoupling, FixDecoupleChannels: fixes.DomainDecoupling}), names.UECM)
-	// 4G RRC's switch command fans out to 3G RRC (radio setup) and the
-	// 3G mobility layers (location/routing updates, Figure 3 step 2).
-	w.MustAddProc(names.UERRC4G, NodeDevice,
-		rrc4g.DeviceSpec(rrc4g.DeviceOptions{}), names.UERRC3G, names.UEMM, names.UEGMM)
-
-	// Network side.
-	w.MustAddProc(names.MMEEMM, NodeNetwork,
-		emm.MMESpec(emm.MMEOptions{
-			FixReactivateBearer:  fixes.CrossSystem,
-			FixLUFailureRecovery: fixes.CrossSystem,
-			PropagateLUFailure:   !fixes.CrossSystem,
-		}), names.MMEESM)
-	w.MustAddProc(names.MMEESM, NodeNetwork, esm.MMESpec(esm.MMEOptions{}))
-	w.MustAddProc(names.SGSNGMM, NodeNetwork, gmm.SGSNSpec(gmm.SGSNOptions{}))
-	w.MustAddProc(names.SGSNSM, NodeNetwork,
-		sm.SGSNSpec(sm.SGSNOptions{FixKeepContext: fixes.CrossSystem}))
-	w.MustAddProc(names.MSCMM, NodeNetwork, mm.MSCSpec(mm.MSCOptions{}))
-	w.MustAddProc(names.MSCCM, NodeNetwork, cm.MSCSpec(cm.MSCOptions{}))
-
+	for _, r := range stackTable(fixes, volte) {
+		w.MustAddProc(r.name, r.node, r.spec, r.outputTo...)
+	}
 	w.SetGlobal(names.GSwitchOpt, p.SwitchOption)
 	w.SetGlobal(names.GModulation, rrc3g.Mod64QAM)
 	w.SetGlobal(names.GSys, int(types.SysNone))
+}
+
+func stackTable(fixes FixSet, volte bool) []stackRow {
+	i := 0
+	for bit, on := range []bool{fixes.ReliableSignaling, fixes.ParallelUpdate, fixes.DomainDecoupling, fixes.CrossSystem, volte} {
+		if on {
+			i |= 1 << bit
+		}
+	}
+	t := &stackTables[i]
+	t.once.Do(func() { t.rows = newStackTable(fixes, volte) })
+	return t.rows
+}
+
+func newStackTable(fixes FixSet, volte bool) []stackRow {
+	return []stackRow{
+		// Device side.
+		{names.UEEMM, NodeDevice,
+			emm.DeviceSpec(emm.DeviceOptions{FixReactivateBearer: fixes.CrossSystem}), []string{names.UEESM}},
+		{names.UEESM, NodeDevice, esm.DeviceSpec(esm.DeviceOptions{}), nil},
+		{names.UEGMM, NodeDevice,
+			gmm.DeviceSpec(gmm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate}), nil},
+		{names.UESM, NodeDevice,
+			sm.DeviceSpec(sm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate, FixKeepContext: fixes.CrossSystem}), nil},
+		{names.UEMM, NodeDevice,
+			mm.DeviceSpec(mm.DeviceOptions{FixParallelUpdate: fixes.ParallelUpdate}), []string{names.UECM}},
+		{names.UECM, NodeDevice,
+			cm.DeviceSpec(cm.DeviceOptions{VoLTE: volte}), []string{names.UEMM, names.UERRC3G, names.UERRC4G}},
+		{names.UERRC3G, NodeDevice,
+			rrc3g.DeviceSpec(rrc3g.DeviceOptions{FixCSFBTag: fixes.DomainDecoupling, FixDecoupleChannels: fixes.DomainDecoupling}), []string{names.UECM}},
+		// 4G RRC's switch command fans out to 3G RRC (radio setup) and the
+		// 3G mobility layers (location/routing updates, Figure 3 step 2).
+		{names.UERRC4G, NodeDevice,
+			rrc4g.DeviceSpec(rrc4g.DeviceOptions{}), []string{names.UERRC3G, names.UEMM, names.UEGMM}},
+
+		// Network side.
+		{names.MMEEMM, NodeNetwork,
+			emm.MMESpec(emm.MMEOptions{
+				FixReactivateBearer:  fixes.CrossSystem,
+				FixLUFailureRecovery: fixes.CrossSystem,
+				PropagateLUFailure:   !fixes.CrossSystem,
+			}), []string{names.MMEESM}},
+		{names.MMEESM, NodeNetwork, esm.MMESpec(esm.MMEOptions{}), nil},
+		{names.SGSNGMM, NodeNetwork, gmm.SGSNSpec(gmm.SGSNOptions{}), nil},
+		{names.SGSNSM, NodeNetwork,
+			sm.SGSNSpec(sm.SGSNOptions{FixKeepContext: fixes.CrossSystem}), nil},
+		{names.MSCMM, NodeNetwork, mm.MSCSpec(mm.MSCOptions{}), nil},
+		{names.MSCCM, NodeNetwork, cm.MSCSpec(cm.MSCOptions{}), nil},
+	}
 }
 
 // WireProcessingDelays installs the operator's measured procedure

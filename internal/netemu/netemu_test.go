@@ -2,6 +2,8 @@ package netemu
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,6 +319,111 @@ func TestStandardStackS6(t *testing.T) {
 	}
 	if fixed.Global(names.GLUFail3G) != 0 {
 		t.Fatal("fixed stack: LU failure not recovered")
+	}
+}
+
+// Every world of one stack configuration instantiates fresh machines
+// over one shared set of immutable specs; stepping one world never
+// reaches another's machines or globals, and a different FixSet or the
+// VoLTE stack gets specs of its own.
+func TestStackSharesSpecs(t *testing.T) {
+	a, b := NewWorld(1), NewWorld(2)
+	StandardStack(a, OPII(), FixSet{})
+	StandardStack(b, OPII(), FixSet{})
+	rows := stackTable(FixSet{}, false)
+	if len(rows) != 14 {
+		t.Fatalf("stack table has %d rows, want 14", len(rows))
+	}
+	for _, r := range rows {
+		ma, mb := a.Machine(r.name), b.Machine(r.name)
+		if ma == nil || mb == nil || ma == mb {
+			t.Fatalf("%s: machines %p and %p, want two distinct ones", r.name, ma, mb)
+		}
+		if ma.Spec() != r.spec || mb.Spec() != r.spec {
+			t.Fatalf("%s: specs %p and %p, want the shared %p", r.name, ma.Spec(), mb.Spec(), r.spec)
+		}
+	}
+
+	snapshot := func(w *World) (map[string]string, map[string]int) {
+		ms := make(map[string]string, len(rows))
+		for _, r := range rows {
+			ms[r.name] = string(w.Machine(r.name).Encode(nil))
+		}
+		gs := make(map[string]int, len(w.globals))
+		for k, v := range w.globals {
+			gs[k] = v
+		}
+		return ms, gs
+	}
+	bMachines, bGlobals := snapshot(b)
+	a.InjectAt(0, names.UEEMM, types.Message{Kind: types.MsgPowerOn})
+	a.Run()
+	if a.Global(names.GReg4G) != 1 {
+		t.Fatal("stepped world did not attach")
+	}
+	aMachines, _ := snapshot(a)
+	if aMachines[names.UEEMM] == bMachines[names.UEEMM] {
+		t.Fatal("stepped world's EMM machine did not change")
+	}
+	gotMachines, gotGlobals := snapshot(b)
+	if !reflect.DeepEqual(gotMachines, bMachines) || !reflect.DeepEqual(gotGlobals, bGlobals) {
+		t.Fatal("stepping one world changed another world of the same configuration")
+	}
+
+	for _, other := range []struct {
+		fixes FixSet
+		volte bool
+	}{
+		{FixSet{CrossSystem: true}, false},
+		{FixSet{ReliableSignaling: true}, false},
+		{AllFixes(), false},
+		{FixSet{}, true},
+	} {
+		w := NewWorld(1)
+		if other.volte {
+			VoLTEStack(w, OPII(), other.fixes)
+		} else {
+			StandardStack(w, OPII(), other.fixes)
+		}
+		for _, r := range rows {
+			if w.Machine(r.name).Spec() == r.spec {
+				t.Fatalf("%+v volte=%v: %s shares the defective stack's spec", other.fixes, other.volte, r.name)
+			}
+		}
+	}
+}
+
+// Worlds of one configuration built and run from several goroutines at
+// once — the first of them racing to build the shared spec table — each
+// reach the same end state a lone world does.
+func TestStackConcurrentWorlds(t *testing.T) {
+	fixes := FixSet{ParallelUpdate: true, DomainDecoupling: true}
+	run := func() map[string]int {
+		w := NewWorld(1)
+		StandardStack(w, OPII(), fixes)
+		w.InjectAt(0, names.UEEMM, types.Message{Kind: types.MsgPowerOn})
+		w.InjectAt(time.Second, names.UEGMM, types.Message{Kind: types.MsgInterSystemSwitchCommand})
+		w.InjectAt(2*time.Second, names.UESM, types.Message{Kind: types.MsgDeactivatePDPRequest, Cause: types.CauseInsufficientResources})
+		w.InjectAt(3*time.Second, names.UEEMM, types.Message{Kind: types.MsgInterSystemCellReselect})
+		w.Run()
+		return w.globals
+	}
+	const n = 4
+	got := make([]map[string]int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	want := run()
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("world %d ended with globals %v, want %v", i, g, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package netemu
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"cnetverifier/internal/names"
@@ -65,6 +66,8 @@ type transfer struct {
 	timer    *Timer
 	deadline time.Duration
 }
+
+func (t *transfer) seqString() string { return strconv.FormatUint(uint64(t.seq), 10) }
 
 // reliabService is the per-world retransmission state. It is driven
 // entirely by the world's Sim, so runs stay deterministic.
@@ -138,8 +141,7 @@ func (r *reliabService) transmit(t *transfer) {
 	link := r.link(t.src.node)
 	if lost(link, t.msg) {
 		w.Dropped++
-		w.Collector.Addf(w.Sim.Now(), trace.TypeError, t.msg.System, t.src.m.Spec().Name,
-			"signal %s lost over the air", t.msg.Kind)
+		w.recordLoss(t.src, t.msg)
 		return
 	}
 	msg := t.msg
@@ -156,8 +158,8 @@ func (r *reliabService) receive(t *transfer) {
 	if r.delivered[t.seq] {
 		w.Stats.Duplicates++
 		sys := types.System(w.globals[names.GSys])
-		w.Collector.Addf(w.Sim.Now(), trace.TypeInfo, sys, t.src.m.Spec().Name,
-			"duplicate %s (seq %d) suppressed", t.msg.Kind, t.seq)
+		w.record(trace.TypeInfo, sys, t.src.m.Spec().Name,
+			"duplicate "+t.msg.Kind.String()+" (seq "+t.seqString()+") suppressed")
 		return
 	}
 	r.delivered[t.seq] = true
@@ -217,14 +219,15 @@ func (r *reliabService) expire(t *transfer) {
 	t.timer = nil // this attempt's timer just fired
 	w.Stats.Expiries++
 	mod := t.src.m.Spec().Name
-	w.Collector.Addf(w.Sim.Now(), trace.TypeExpiry, t.msg.System, mod,
-		"RTO %v expired for %s (seq %d, attempt %d)", t.rto, t.msg.Kind, t.seq, t.attempts+1)
+	w.record(trace.TypeExpiry, t.msg.System, mod,
+		"RTO "+t.rto.String()+" expired for "+t.msg.Kind.String()+
+			" (seq "+t.seqString()+", attempt "+strconv.Itoa(t.attempts+1)+")")
 	if t.attempts >= r.cfg.MaxRetries {
 		t.acked = true // no further timers act on this transfer
 		delete(r.inflight, t.seq)
 		w.Stats.Aborts++
-		w.Collector.Addf(w.Sim.Now(), trace.TypeAbort, t.msg.System, mod,
-			"%s (seq %d) abandoned after %d attempts", t.msg.Kind, t.seq, t.attempts+1)
+		w.record(trace.TypeAbort, t.msg.System, mod,
+			t.msg.Kind.String()+" (seq "+t.seqString()+") abandoned after "+strconv.Itoa(t.attempts+1)+" attempts")
 		fail := types.Message{
 			Kind:  types.MsgLinkFailure,
 			Cause: types.CauseLowLayerFailure,
@@ -241,8 +244,9 @@ func (r *reliabService) expire(t *transfer) {
 		t.rto = r.cfg.MaxRTO
 	}
 	w.Stats.Retransmits++
-	w.Collector.Addf(w.Sim.Now(), trace.TypeRetx, t.msg.System, mod,
-		"retransmit %s (seq %d, attempt %d, next RTO %v)", t.msg.Kind, t.seq, t.attempts, t.rto)
+	w.record(trace.TypeRetx, t.msg.System, mod,
+		"retransmit "+t.msg.Kind.String()+" (seq "+t.seqString()+", attempt "+strconv.Itoa(t.attempts)+
+			", next RTO "+t.rto.String()+")")
 	r.transmit(t)
 	r.arm(t)
 }

@@ -2,6 +2,7 @@ package netemu
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -209,8 +210,8 @@ func (w *World) route(src *procRT, to string, msg types.Message) {
 	dst, ok := w.procs[to]
 	if !ok {
 		w.Stats.Misrouted++
-		w.Collector.Addf(w.Sim.Now(), trace.TypeError, msg.System, src.m.Spec().Name,
-			"send to unknown proc %q dropped", to)
+		w.record(trace.TypeError, msg.System, src.m.Spec().Name,
+			"send to unknown proc "+strconv.Quote(to)+" dropped")
 		return
 	}
 	msg.To = to
@@ -226,11 +227,9 @@ func (w *World) route(src *procRT, to string, msg types.Message) {
 	if src.node == NodeNetwork {
 		link = w.Downlink
 	}
-	if (link.Dropper != nil && link.Dropper.Drop()) ||
-		(link.DropFilter != nil && link.DropFilter(msg)) {
+	if lost(link, msg) {
 		w.Dropped++
-		w.Collector.Addf(w.Sim.Now(), trace.TypeError, msg.System, src.m.Spec().Name,
-			"signal %s lost over the air", msg.Kind)
+		w.recordLoss(src, msg)
 		return
 	}
 	w.Sim.After(link.delay(w.Sim)+w.processingDelay(to, msg.Kind), func() { w.deliver(to, msg) })
@@ -267,12 +266,25 @@ func (w *World) deliver(to string, msg types.Message) {
 	tr, fired := p.m.Step(&rtCtx{w: w, p: p}, fsm.EvMsg(msg))
 	sys := types.System(w.globals[names.GSys])
 	if fired {
-		w.Collector.Addf(w.Sim.Now(), trace.TypeSignal, sys, p.m.Spec().Name,
-			"%s -> %s [%s]", msg, p.m.State(), tr.Name)
+		w.record(trace.TypeSignal, sys, p.m.Spec().Name,
+			msg.String()+" -> "+string(p.m.State())+" ["+tr.Name+"]")
 	} else {
-		w.Collector.Addf(w.Sim.Now(), trace.TypeInfo, sys, p.m.Spec().Name,
-			"%s discarded in %s", msg, p.m.State())
+		w.record(trace.TypeInfo, sys, p.m.Spec().Name,
+			msg.String()+" discarded in "+string(p.m.State()))
 	}
+}
+
+// record appends a trace record at the current virtual time. The
+// emulator's own records build their descriptions by concatenation;
+// only spec-owned format strings (Ctx.Trace) go through Collector.Addf.
+func (w *World) record(typ trace.Type, sys types.System, module, desc string) {
+	w.Collector.Add(trace.Record{At: w.Sim.Now(), Type: typ, System: sys, Module: module, Desc: desc})
+}
+
+// recordLoss traces a frame from src that the air interface dropped.
+func (w *World) recordLoss(src *procRT, msg types.Message) {
+	w.record(trace.TypeError, msg.System, src.m.Spec().Name,
+		"signal "+msg.Kind.String()+" lost over the air")
 }
 
 // Inject delivers an environment event to a proc at the current time.

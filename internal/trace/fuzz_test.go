@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,11 +11,20 @@ import (
 )
 
 // FuzzRecordLine drives arbitrary lines through the §3.3 trace codec
-// and asserts its round-trip contract: any line ParseRecord accepts
-// renders back to a canonical form that re-parses to the identical
-// record, and renders identically from then on (one render reaches the
-// fixpoint). The seeds cover every record type, including the
-// reliable-delivery additions (EXPIRY/RETX/ABORT).
+// and asserts that it is closed over its own output, in both
+// directions:
+//
+//   - parse → render: any line ParseRecord accepts carries the canonical
+//     timestamp, renders back to a form that re-parses to the identical
+//     record, and renders identically from then on (one render reaches
+//     the fixpoint);
+//   - render → parse: a record whose At is any non-negative millisecond
+//     count (read from the input's first eight bytes) renders to a line
+//     that parses back to the identical record.
+//
+// The seeds cover every record type, including the reliable-delivery
+// additions (EXPIRY/RETX/ABORT), and the timestamp shapes the parser
+// once mis-read.
 func FuzzRecordLine(f *testing.F) {
 	seeds := []Record{
 		{At: 0, Type: TypeState, System: types.Sys4G, Module: "EMM", Desc: "attach complete"},
@@ -33,14 +45,32 @@ func FuzzRecordLine(f *testing.F) {
 	f.Add("99:99:99.999 STATE 4G EMM desc") // out-of-range timestamp
 	f.Add("00:00:00.000 STATE 5G EMM desc") // unknown system
 	f.Add("not a trace line at all, sorry")
+	// Timestamps that are not what String renders: short and long
+	// milliseconds and trailing garbage must be rejected, while 100 h and
+	// more (three or more hour digits) must be accepted.
+	f.Add("00:00:01.5 STATE 4G EMM desc")
+	f.Add("00:00:01.2345 STATE 4G EMM desc")
+	f.Add("00:00:01.999x STATE 4G EMM desc")
+	f.Add("100:00:01.500 STATE 4G EMM desc")
 
 	f.Fuzz(func(t *testing.T, line string) {
+		var b [8]byte
+		copy(b[:], line)
+		at := time.Duration(binary.LittleEndian.Uint64(b[:]) & math.MaxInt64).Truncate(time.Millisecond)
+		rendered := Record{At: at, Type: TypeSignal, System: types.Sys4G, Module: "EMM", Desc: "render"}
+		if back, err := ParseRecord(rendered.String()); err != nil || back != rendered {
+			t.Fatalf("rendered At=%d does not round-trip: %q -> %+v, %v", int64(at), rendered.String(), back, err)
+		}
+
 		rec, err := ParseRecord(line)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
 		if rec.At < 0 {
 			t.Fatalf("accepted negative timestamp %v from %q", rec.At, line)
+		}
+		if ts := strings.SplitN(strings.TrimSpace(line), " ", 2)[0]; ts != rec.Timestamp() {
+			t.Fatalf("accepted non-canonical timestamp %q (renders as %q)", ts, rec.Timestamp())
 		}
 		// An empty description renders with a trailing space that the
 		// parser's trim then folds away; such records are only produced

@@ -17,6 +17,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -44,6 +46,9 @@ const (
 	TypeAbort  Type = "ABORT"  // retries exhausted; transfer abandoned
 )
 
+// Types lists every trace type in declaration order.
+var Types = []Type{TypeState, TypeSignal, TypeConfig, TypeError, TypeInfo, TypeExpiry, TypeRetx, TypeAbort}
+
 // Record is one trace item in the §3.3 format.
 type Record struct {
 	// At is the virtual-time offset of the item since trace start.
@@ -60,6 +65,10 @@ type Record struct {
 
 // Timestamp renders At in the hh:mm:ss.ms format of §3.3.
 func (r Record) Timestamp() string {
+	return string(r.appendTimestamp(make([]byte, 0, 12)))
+}
+
+func (r Record) appendTimestamp(dst []byte) []byte {
 	d := r.At
 	h := d / time.Hour
 	d -= h * time.Hour
@@ -68,14 +77,52 @@ func (r Record) Timestamp() string {
 	s := d / time.Second
 	d -= s * time.Second
 	ms := d / time.Millisecond
-	return fmt.Sprintf("%02d:%02d:%02d.%03d", h, m, s, ms)
+	dst = appendPadded(dst, int64(h), 2)
+	dst = append(dst, ':')
+	dst = appendPadded(dst, int64(m), 2)
+	dst = append(dst, ':')
+	dst = appendPadded(dst, int64(s), 2)
+	dst = append(dst, '.')
+	return appendPadded(dst, int64(ms), 3)
+}
+
+// appendPadded appends v in decimal, zero-padded to width exactly as
+// fmt's %0<width>d does: a minus sign counts toward the width.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		width--
+		u = -u
+	}
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], u, 10)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // String renders the record as one trace line:
 //
 //	12:01:05.250 STATE 4G EMM attach complete
 func (r Record) String() string {
-	return fmt.Sprintf("%s %s %s %s %s", r.Timestamp(), r.Type, r.System, r.Module, r.Desc)
+	return string(r.AppendTo(make([]byte, 0, 16+len(r.Type)+len(r.Module)+len(r.Desc))))
+}
+
+// AppendTo appends the String form of the record to dst and returns the
+// extended buffer — the allocation-free rendering for callers that
+// reuse one buffer across many records.
+func (r Record) AppendTo(dst []byte) []byte {
+	dst = r.appendTimestamp(dst)
+	dst = append(dst, ' ')
+	dst = append(dst, r.Type...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.System.String()...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.Module...)
+	dst = append(dst, ' ')
+	return append(dst, r.Desc...)
 }
 
 // ParseRecord parses a line in the String format. The description may
@@ -102,16 +149,23 @@ func ParseRecord(line string) (Record, error) {
 	}, nil
 }
 
+// parseTimestamp accepts exactly the timestamps Timestamp renders for a
+// non-negative At: H+:MM:SS.mmm with at least two hour digits and no
+// leading zero beyond them, minutes and seconds below 60.
 func parseTimestamp(s string) (time.Duration, error) {
-	var h, m, sec, ms int
-	if _, err := fmt.Sscanf(s, "%02d:%02d:%02d.%03d", &h, &m, &sec, &ms); err != nil {
-		return 0, fmt.Errorf("bad timestamp %q", s)
+	n := len(s) - len(":MM:SS.mmm")
+	if n >= 2 && s[n] == ':' && s[n+3] == ':' && s[n+6] == '.' && (n == 2 || s[0] != '0') {
+		h, errH := strconv.ParseUint(s[:n], 10, 64)
+		m, errM := strconv.ParseUint(s[n+1:n+3], 10, 64)
+		sec, errS := strconv.ParseUint(s[n+4:n+6], 10, 64)
+		ms, errMS := strconv.ParseUint(s[n+7:], 10, 64)
+		rest := time.Duration(m)*time.Minute + time.Duration(sec)*time.Second + time.Duration(ms)*time.Millisecond
+		if errH == nil && errM == nil && errS == nil && errMS == nil && m <= 59 && sec <= 59 &&
+			h <= uint64(math.MaxInt64-rest)/uint64(time.Hour) {
+			return time.Duration(h)*time.Hour + rest, nil
+		}
 	}
-	if m > 59 || sec > 59 || h < 0 || m < 0 || sec < 0 || ms < 0 {
-		return 0, fmt.Errorf("bad timestamp %q", s)
-	}
-	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
-		time.Duration(sec)*time.Second + time.Duration(ms)*time.Millisecond, nil
+	return 0, fmt.Errorf("bad timestamp %q", s)
 }
 
 func parseSystem(s string) (types.System, error) {
@@ -214,29 +268,23 @@ type Filter struct {
 	Before time.Duration
 }
 
+// match reports whether r meets every non-zero criterion.
+func (f Filter) match(r Record) bool {
+	return (f.Type == "" || r.Type == f.Type) &&
+		(f.System == types.SysNone || r.System == f.System) &&
+		(f.Module == "" || r.Module == f.Module) &&
+		(f.Contains == "" || strings.Contains(r.Desc, f.Contains)) &&
+		(f.After == 0 || r.At >= f.After) &&
+		(f.Before == 0 || r.At < f.Before)
+}
+
 // Apply returns the matching subset in order.
 func (f Filter) Apply(recs []Record) []Record {
 	var out []Record
 	for _, r := range recs {
-		if f.Type != "" && r.Type != f.Type {
-			continue
+		if f.match(r) {
+			out = append(out, r)
 		}
-		if f.System != types.SysNone && r.System != f.System {
-			continue
-		}
-		if f.Module != "" && r.Module != f.Module {
-			continue
-		}
-		if f.Contains != "" && !strings.Contains(r.Desc, f.Contains) {
-			continue
-		}
-		if f.After != 0 && r.At < f.After {
-			continue
-		}
-		if f.Before != 0 && r.At >= f.Before {
-			continue
-		}
-		out = append(out, r)
 	}
 	return out
 }
@@ -245,7 +293,7 @@ func (f Filter) Apply(recs []Record) []Record {
 // a zero record and false.
 func (f Filter) FirstMatch(recs []Record) (Record, bool) {
 	for _, r := range recs {
-		if len(f.Apply([]Record{r})) == 1 {
+		if f.match(r) {
 			return r, true
 		}
 	}
@@ -253,23 +301,18 @@ func (f Filter) FirstMatch(recs []Record) (Record, bool) {
 }
 
 // Span returns the time between the first record matching start and the
-// next record matching end, or false when either is absent. It is the
-// primitive behind the validation-phase latency measurements (e.g.
-// Figure 4's detach→reattach recovery time).
+// first record at or after it matching end, or false when either is
+// absent. It is the primitive behind the validation-phase latency
+// measurements (e.g. Figure 4's detach→reattach recovery time).
 func Span(recs []Record, start, end Filter) (time.Duration, bool) {
 	s, ok := start.FirstMatch(recs)
 	if !ok {
 		return 0, false
 	}
-	var after []Record
 	for _, r := range recs {
-		if r.At >= s.At {
-			after = append(after, r)
+		if r.At >= s.At && end.match(r) {
+			return r.At - s.At, true
 		}
 	}
-	e, ok := end.FirstMatch(after)
-	if !ok {
-		return 0, false
-	}
-	return e.At - s.At, true
+	return 0, false
 }

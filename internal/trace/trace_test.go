@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,5 +201,91 @@ func TestCollectorConcurrency(t *testing.T) {
 	}
 	if c.Len() != 800 {
 		t.Fatalf("len = %d, want 800", c.Len())
+	}
+}
+
+// fmtRender is the fmt-based rendering AppendTo replaced; the byte-exact
+// equality below keeps every trace digest computed over rendered lines.
+func fmtRender(r Record) string {
+	d := r.At
+	h := d / time.Hour
+	d -= h * time.Hour
+	m := d / time.Minute
+	d -= m * time.Minute
+	s := d / time.Second
+	d -= s * time.Second
+	ms := d / time.Millisecond
+	ts := fmt.Sprintf("%02d:%02d:%02d.%03d", h, m, s, ms)
+	return fmt.Sprintf("%s %s %s %s %s", ts, r.Type, r.System, r.Module, r.Desc)
+}
+
+func TestRenderMatchesFmt(t *testing.T) {
+	ats := []time.Duration{
+		0,
+		time.Millisecond,
+		999 * time.Millisecond,
+		time.Second,
+		time.Second + 999*time.Millisecond + 999*time.Microsecond, // sub-ms truncated
+		59*time.Minute + 59*time.Second + 999*time.Millisecond,
+		time.Hour,
+		99*time.Hour + 59*time.Minute + 59*time.Second + 999*time.Millisecond,
+		100 * time.Hour,
+		100*time.Hour + time.Millisecond,
+		time.Duration(math.MaxInt64),
+		-time.Millisecond, // never collected, but rendered like fmt all the same
+		-(25*time.Hour + 3*time.Second),
+	}
+	typs := append([]Type{""}, Types...)
+	systems := []types.System{types.SysNone, types.Sys3G, types.Sys4G, types.System(9)}
+	for _, at := range ats {
+		for _, typ := range typs {
+			for _, sys := range systems {
+				r := Record{At: at, Type: typ, System: sys, Module: "EMM-UE", Desc: "AttachRequest -> Registered [accept]"}
+				want := fmtRender(r)
+				if got := r.String(); got != want {
+					t.Fatalf("String() = %q, want %q", got, want)
+				}
+				if got := string(r.AppendTo([]byte("prefix|"))); got != "prefix|"+want {
+					t.Fatalf("AppendTo = %q, want %q", got, "prefix|"+want)
+				}
+				if ts := r.Timestamp(); !strings.HasPrefix(want, ts+" ") {
+					t.Fatalf("Timestamp() = %q, line %q", ts, want)
+				}
+			}
+		}
+	}
+}
+
+// The codec is closed over its own output: the parser accepts exactly
+// the timestamps String renders for a non-negative At.
+func TestParseCanonicalTimestampsOnly(t *testing.T) {
+	for _, ts := range []string{
+		"00:00:01.5",    // short milliseconds
+		"00:00:01.2345", // long milliseconds
+		"00:00:01.999x", // trailing garbage
+		"0:00:01.500",   // one hour digit
+		"000:00:01.500", // padded beyond two hour digits
+		"-1:00:01.500",
+		"+01:00:01.500",
+		"01:0a:01.500",
+		"01:00:60.000",
+		"01:60:00.000",
+		"2562048:00:00.000", // overflows time.Duration
+		"99999999999999999999999:00:00.000",
+	} {
+		if _, err := ParseRecord(ts + " STATE 4G EMM x"); err == nil {
+			t.Errorf("ParseRecord accepted timestamp %q", ts)
+		}
+	}
+	for _, at := range []time.Duration{
+		0,
+		100*time.Hour + 1500*time.Millisecond,
+		time.Duration(math.MaxInt64).Truncate(time.Millisecond),
+	} {
+		r := Record{At: at, Type: TypeInfo, System: types.Sys3G, Module: "MM", Desc: "x"}
+		back, err := ParseRecord(r.String())
+		if err != nil || back != r {
+			t.Errorf("round trip of At=%v: %+v, %v", at, back, err)
+		}
 	}
 }

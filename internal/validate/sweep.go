@@ -345,12 +345,13 @@ func sweepOne(t SweepTarget, cfg SweepConfig, loss float64, seedIdx int) (sweepR
 	}
 	r := sweepRun{done: true, reproduced: out.Reproduced}
 	h := fnv.New64a()
+	var line []byte
 	for _, rec := range out.Trace {
 		if rec.Type == trace.TypeAbort {
 			r.aborted = true
 		}
-		h.Write([]byte(rec.String()))
-		h.Write([]byte{'\n'})
+		line = append(rec.AppendTo(line[:0]), '\n')
+		h.Write(line)
 	}
 	r.traceHash = h.Sum64()
 	return r, nil

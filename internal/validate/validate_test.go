@@ -169,9 +169,11 @@ func TestReplayS2(t *testing.T) {
 	t.Logf("S2: %d/%d counterexamples reproduced", reproduced, len(r.Result.Violations))
 }
 
-// Every Replay builds a fresh emulator stack with fresh protocol specs.
-// Nothing may keep those reachable once the replay returns: a package-
-// level cache keyed by *fsm.Spec once pinned ~119 KB per replay, which
+// Every Replay builds fresh emulator worlds — machines, globals,
+// simulator, collector — over protocol specs held once per stack
+// configuration (netemu's spec table), never per replay. Nothing of a
+// replay may stay reachable once it returns: a package-level cache
+// keyed by a per-replay *fsm.Spec once pinned ~119 KB per replay, which
 // put a 1,152-replay loss sweep at a 1.1 GB heap.
 func TestReplayRetainsNothing(t *testing.T) {
 	v := screenFirst(t, core.S1World(false))

@@ -125,12 +125,15 @@ echo ok
 echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
 go test -race -run 'TestVTable' ./internal/check
 
-echo "== alloc budgets (flat visited table, canonical hashing and apply/undo stay on the alloc-free hot path) =="
-go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget|TestParallelAllocBudget' ./internal/core
-go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree' ./internal/model
+echo "== alloc budgets (flat visited table, keying, canonical hashing, scenario events and apply/undo stay on the alloc-free hot path) =="
+go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget|TestParallelAllocBudget|TestScenarioEventsAllocFree' ./internal/core
+go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree|TestAppendKeyAllocFree' ./internal/model
 
 echo "== delta-state race leg (stamped undo + replica cache, two worlds sharing one globals layout) =="
 go test -race -count=10 -run 'TestDeltaStateSharedLayout' ./internal/model
+
+echo "== collapsed-key race leg (lock-free interner reads and folds, per-world piece caches, clone hand-over) =="
+go test -race -count=5 -run 'TestInternerConcurrent|TestKeyFingerprintIndependentOfInterningOrder|TestKeyDistinguishesWhatEncodingDistinguishes|TestQuickDeltaState' ./internal/model
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/netemu ./internal/emu ./internal/fixes

@@ -12,16 +12,19 @@
 // -effects prints the static per-edge effect summaries and independence
 // clusters of one standard world (internal/lint/effects); -graph prints
 // the same analysis's cross-protocol interaction graph as Graphviz DOT.
-// Both exit immediately, like -dot.
+// Either exits immediately, like -dot; giving both is a usage error.
 //
 // Exit status is 1 when any finding reaches the -fail-on severity
-// (default error), 2 on usage errors, 0 otherwise.
+// (default error), 2 on usage errors — an unknown spec, world, rule ID
+// in -suppress or severity in -fail-on, or -effects with -graph — and 0
+// otherwise.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -32,36 +35,59 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cnetlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specName  = flag.String("spec", "all", "spec to lint: all, none, or a registry name (see -rules for IDs, cnetlint -spec none -world none to list)")
-		worldName = flag.String("world", "all", "world to lint: all, none, or one of "+strings.Join(core.WorldNames(), ", "))
-		fixed     = flag.Bool("fixed", false, "lint the §8-fixed variants of the standard worlds")
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON")
-		dotSpec   = flag.String("dot", "", "print the lint-annotated DOT graph for one spec and exit")
-		failOn    = flag.String("fail-on", "error", "exit nonzero when a finding reaches this severity: info, warn, error")
-		suppress  = flag.String("suppress", "", "comma-separated rule IDs to disable everywhere")
-		rules     = flag.Bool("rules", false, "print the rule catalog and exit")
-		effectsW  = flag.String("effects", "", "print per-edge effect summaries and independence clusters for one world and exit")
-		graphW    = flag.String("graph", "", "print the cross-protocol interaction graph of one world as Graphviz DOT and exit")
+		specName  = fs.String("spec", "all", "spec to lint: all, none, or a registry name (see -rules for IDs, cnetlint -spec none -world none to list)")
+		worldName = fs.String("world", "all", "world to lint: all, none, or one of "+strings.Join(core.WorldNames(), ", "))
+		fixed     = fs.Bool("fixed", false, "lint the §8-fixed variants of the standard worlds")
+		jsonOut   = fs.Bool("json", false, "emit findings as JSON")
+		dotSpec   = fs.String("dot", "", "print the lint-annotated DOT graph for one spec and exit")
+		failOn    = fs.String("fail-on", "error", "exit nonzero when a finding reaches this severity: info, warn, error")
+		suppress  = fs.String("suppress", "", "comma-separated rule IDs (see -rules) to disable everywhere")
+		rules     = fs.Bool("rules", false, "print the rule catalog and exit")
+		effectsW  = fs.String("effects", "", "print per-edge effect summaries and independence clusters for one world and exit")
+		graphW    = fs.String("graph", "", "print the cross-protocol interaction graph of one world as Graphviz DOT and exit (not with -effects)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cnetlint: "+format+"\n", a...)
+		return 2
+	}
 
 	if *rules {
-		printRules(*jsonOut)
-		return
+		printRules(stdout, *jsonOut)
+		return 0
 	}
 
 	minSev, err := lint.ParseSeverity(*failOn)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cnetlint:", err)
-		os.Exit(2)
+		return usage("-fail-on: %v", err)
 	}
 
 	opts := lint.Options{}
 	if *suppress != "" {
-		opts.Suppress = map[string][]string{"*": strings.Split(*suppress, ",")}
+		ids := strings.Split(*suppress, ",")
+		for _, id := range ids {
+			if !knownRule(id) {
+				return usage("-suppress: unknown rule ID %q (cnetlint -rules lists them)", id)
+			}
+		}
+		opts.Suppress = map[string][]string{"*": ids}
 	}
 
+	if *effectsW != "" && *graphW != "" {
+		return usage("-effects and -graph each print one world's analysis; give one of them")
+	}
 	if *effectsW != "" || *graphW != "" {
 		name := *effectsW
 		if name == "" {
@@ -69,26 +95,33 @@ func main() {
 		}
 		sc, ok := core.StandardWorlds(*fixed)[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cnetlint: unknown world %q (known: %s)\n", name, strings.Join(core.WorldNames(), ", "))
-			os.Exit(2)
+			return usage("unknown world %q (known: %s)", name, strings.Join(core.WorldNames(), ", "))
 		}
 		we := effects.Analyze(sc.World)
 		if *effectsW != "" {
-			fmt.Print(we.Text())
+			fmt.Fprint(stdout, we.Text())
 		} else {
-			fmt.Print(we.GraphDOT())
+			fmt.Fprint(stdout, we.GraphDOT())
 		}
-		return
+		return 0
 	}
 
 	if *dotSpec != "" {
 		s, ok := core.AllSpecs()[*dotSpec]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cnetlint: unknown spec %q (known: %s)\n", *dotSpec, strings.Join(core.SpecNames(), ", "))
-			os.Exit(2)
+			return usage("unknown spec %q (known: %s)", *dotSpec, strings.Join(core.SpecNames(), ", "))
 		}
-		fmt.Print(lint.DOT(s, lint.Spec(s, opts)))
-		return
+		fmt.Fprint(stdout, lint.DOT(s, lint.Spec(s, opts)))
+		return 0
+	}
+
+	specNames, err := selectNames(*specName, core.SpecNames(), "spec")
+	if err != nil {
+		return usage("%v", err)
+	}
+	worldNames, err := selectNames(*worldName, core.WorldNames(), "world")
+	if err != nil {
+		return usage("%v", err)
 	}
 
 	type target struct {
@@ -99,14 +132,14 @@ func main() {
 	total := &lint.Report{}
 
 	specs := core.AllSpecs()
-	for _, name := range selectNames(*specName, core.SpecNames(), "spec") {
+	for _, name := range specNames {
 		rep := lint.Spec(specs[name], opts)
 		targets = append(targets, target{"spec " + name, rep.Findings})
 		total.Merge(rep)
 	}
 
 	worlds := core.StandardWorlds(*fixed)
-	for _, name := range selectNames(*worldName, core.WorldNames(), "world") {
+	for _, name := range worldNames {
 		sc := worlds[name]
 		rep := core.LintWorld(sc, worldOptions(opts, sc.Options.LintSuppress))
 		targets = append(targets, target{"world " + name, rep.Findings})
@@ -121,21 +154,20 @@ func main() {
 		}
 		out, err := json.MarshalIndent(targets, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cnetlint:", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else {
 		for _, tg := range targets {
 			if len(tg.Findings) == 0 {
 				continue
 			}
-			fmt.Printf("== %s ==\n", tg.Target)
+			fmt.Fprintf(stdout, "== %s ==\n", tg.Target)
 			for _, f := range tg.Findings {
-				fmt.Println(f.String())
+				fmt.Fprintln(stdout, f.String())
 			}
 		}
-		fmt.Printf("linted %d targets: %d findings (%d errors, %d warnings, %d info)\n",
+		fmt.Fprintf(stdout, "linted %d targets: %d findings (%d errors, %d warnings, %d info)\n",
 			len(targets), len(total.Findings),
 			len(total.ByRuleSeverity(lint.Error)),
 			len(total.ByRuleSeverity(lint.Warn)),
@@ -143,27 +175,36 @@ func main() {
 	}
 
 	if !total.Clean(minSev) {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// knownRule reports whether id names a rule of the catalog.
+func knownRule(id string) bool {
+	for _, r := range lint.Rules() {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // selectNames resolves a -spec/-world flag value against the registry:
 // "all" means every name, "none" means none, anything else one name.
-func selectNames(value string, known []string, kind string) []string {
+func selectNames(value string, known []string, kind string) ([]string, error) {
 	switch strings.ToLower(value) {
 	case "all":
-		return known
+		return known, nil
 	case "none", "":
-		return nil
+		return nil, nil
 	}
 	for _, n := range known {
 		if n == value {
-			return []string{n}
+			return []string{n}, nil
 		}
 	}
-	fmt.Fprintf(os.Stderr, "cnetlint: unknown %s %q (known: %s)\n", kind, value, strings.Join(known, ", "))
-	os.Exit(2)
-	return nil
+	return nil, fmt.Errorf("unknown %s %q (known: %s)", kind, value, strings.Join(known, ", "))
 }
 
 // worldOptions layers a world's own per-process suppressions (the same
@@ -183,15 +224,15 @@ func worldOptions(o lint.Options, extra map[string][]string) lint.Options {
 	return o
 }
 
-func printRules(asJSON bool) {
+func printRules(w io.Writer, asJSON bool) {
 	rules := lint.Rules()
 	if asJSON {
 		out, _ := json.MarshalIndent(rules, "", "  ")
-		fmt.Println(string(out))
+		fmt.Fprintln(w, string(out))
 		return
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 	for _, r := range rules {
-		fmt.Printf("%-8s %-5s %-5s %s\n", r.ID, r.Severity, r.Scope, r.Summary)
+		fmt.Fprintf(w, "%-8s %-5s %-5s %s\n", r.ID, r.Severity, r.Scope, r.Summary)
 	}
 }

@@ -28,8 +28,9 @@
 //
 // -compact switches the visited set to hash compaction (Spin's
 // supertrace idea): only a 48-bit fingerprint is kept per state, ~8
-// bytes of table instead of the full encoding arena, at the price of a
-// bounded probability that two distinct states merge. The per-world
+// bytes of table and no key arena (exact mode stores each state's key,
+// a vector of interned component ids), at the price of a bounded
+// probability that two distinct states merge. The per-world
 // union bound on that probability is reported by -stats as "omission".
 // Use it to push depth/state bounds on the multi-UE worlds past what
 // exact screening can hold in memory; exact mode remains the default
@@ -50,9 +51,10 @@
 // -workers.
 //
 // -stats prints, per world, the visited-table diagnostics (slot
-// occupancy, growth count, probe-length histogram, arena bytes) and a
-// final process memory summary — the knobs to watch when sizing
-// -states against available memory.
+// occupancy, growth count, probe-length histogram, the bytes of state
+// keys in the arena and the number of distinct components they were
+// built from) and a final process memory summary — the knobs to watch
+// when sizing -states against available memory.
 //
 // -cpuprofile and -memprofile write pprof profiles of the campaign (the
 // heap profile is taken after the run, post-GC); feed them to
@@ -107,8 +109,8 @@ func main() {
 		por      = flag.Bool("por", false, "enable partial-order reduction (cluster decomposition over the static effect analysis; dfs/bfs only)")
 		sym      = flag.Bool("sym", false, "enable symmetry reduction (canonical replica-permutation quotient; dfs/bfs only)")
 		onlyViol = flag.Bool("violations", false, "print only the canonical violation set (sorted property/description lines), for byte-comparing runs")
-		compact  = flag.Bool("compact", false, "hash-compaction visited set (~8 B/state, no exactness arena); the per-world omission-probability bound is reported with -stats")
-		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, arena bytes) and the process memory high-water mark")
+		compact  = flag.Bool("compact", false, "hash-compaction visited set (~8 B/state, no key arena); the per-world omission-probability bound is reported with -stats")
+		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, key arena bytes, interned components) and the process memory high-water mark")
 		timing   = flag.Bool("timing", false, "discrete virtual time: model periodic protocol timers as first-class [earliest, latest] expiry windows (see -timing-profile)")
 		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening — the ci.sh differential gate)")
 		workers  = flag.Int("workers", 1, "exploration workers per world (>1 = layered breadth-first engine for dfs and bfs alike; walk splits its walks)")

@@ -51,6 +51,14 @@ type ScenarioFunc func(w *model.World) []model.EnvEvent
 // Events implements Scenario.
 func (f ScenarioFunc) Events(w *model.World) []model.EnvEvent { return f(w) }
 
+// StaticScenario offers the same events in every state: the scenario of
+// every standard screening world. Events returns the list itself, so an
+// expansion costs no allocation; callers must not modify it.
+type StaticScenario []model.EnvEvent
+
+// Events implements Scenario.
+func (s StaticScenario) Events(*model.World) []model.EnvEvent { return s }
+
 // Strategy selects the exploration order.
 type Strategy uint8
 
@@ -110,14 +118,15 @@ type Options struct {
 	Paranoid bool
 	// Compact switches the visited table to hash-compaction mode
 	// (Spin's supertrace idea): states are recorded by 48-bit
-	// fingerprint only, without the full-encoding arena that exact mode
-	// uses to resolve fingerprint collisions, cutting the visited-set
-	// footprint to ~8 bytes of table per state. Two distinct states
-	// whose fingerprints collide are then silently merged — the
-	// unexplored subtree is an omission — so results are sound upper
-	// bounds with the omission-probability bound reported in
-	// Result.Omission. Use it for depth/state bounds that exhaust
-	// memory in exact mode; composes with POR, Symmetry and Workers.
+	// fingerprint only, without the arena of collapsed keys (interned
+	// component ids) that exact mode uses to resolve fingerprint
+	// collisions, cutting the visited-set footprint to ~8 bytes of table
+	// per state. Two distinct states whose fingerprints collide are then
+	// silently merged — the unexplored subtree is an omission — so
+	// results are sound upper bounds with the omission-probability bound
+	// reported in Result.Omission. Use it for depth/state bounds that
+	// exhaust memory in exact mode; composes with POR, Symmetry and
+	// Workers.
 	Compact bool
 	// Walks and Seed configure RandomWalk: number of schedules sampled
 	// and the RNG seed (defaults 1000 and 1). Each walk derives its own
@@ -156,12 +165,12 @@ type Options struct {
 	// Symmetry enables replica-symmetry reduction for the DFS/BFS
 	// strategies (RandomWalk ignores it, like POR: sampled schedules are
 	// not a dedup fixpoint to quotient). The visited set keys states by
-	// model.World.AppendCanonicalHash instead of AppendHash: per the
-	// world's Symmetry descriptor, the per-replica sub-encodings are
-	// sorted lexicographically before hashing (model's hash64), so all n!
+	// model.World.AppendCanonicalKey instead of AppendKey: per the
+	// world's Symmetry descriptor, the interned per-replica sub-encodings
+	// are sorted by content hash within each group, so all n!
 	// permutations of an n-replica state share one visited entry and the
 	// exploration walks the quotient. A world without a descriptor is
-	// unaffected (the canonical encoding degenerates to the plain one).
+	// unaffected (the canonical key degenerates to the plain one).
 	//
 	// Replica-labeled properties (e.g. props.DataServiceOKIn("ue2")) can
 	// fire on permuted twins the quotient prunes, so Run closes the
@@ -241,7 +250,8 @@ func (v Violation) String() string {
 
 // Result summarizes a checking run.
 type Result struct {
-	// States counts distinct states visited (by hash).
+	// States counts distinct states visited (by key; by fingerprint
+	// under Compact).
 	States int
 	// Transitions counts steps applied. The layered engine (BFS, or
 	// Workers > 1) expands every state once, so the count is the same
@@ -287,9 +297,9 @@ type Result struct {
 	// runs report the sum of their cluster runs' bounds.
 	Omission float64
 	// Visited describes the visited table after the run — occupancy,
-	// probe-length histogram, arena bytes (see VisitedStats). Slot
-	// placement depends on claim interleaving, so these diagnostics are
-	// outside the determinism contract.
+	// probe-length histogram, key bytes, interned components (see
+	// VisitedStats). Slot placement depends on claim interleaving, so
+	// these diagnostics are outside the determinism contract.
 	Visited *VisitedStats
 }
 

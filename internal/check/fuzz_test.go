@@ -68,9 +68,9 @@ func mutate(w *model.World, op, arg byte) bool {
 //
 //   - encoding is a function of state: a clone encodes byte-for-byte
 //     identically and re-marking a world is never "new";
-//   - distinct encodings never silently collide: every snapshot goes
-//     through a paranoid visited set, which errors on a hash collision
-//     with a different encoding;
+//   - distinct states never silently collide: every snapshot goes
+//     through a paranoid visited set, which errors on a fingerprint
+//     collision with a different key;
 //   - min-depth semantics round-trip: re-marking at a shallower depth
 //     asks for re-expansion, deeper or equal does not.
 func FuzzStateHash(f *testing.F) {
@@ -154,8 +154,8 @@ func FuzzStateHash(f *testing.F) {
 		// through a canonical paranoid visited set. Permutation-
 		// equivalent states must share one visited entry — the mirror
 		// of every freshly marked state is a pure revisit — and
-		// paranoid mode verifies the stored canonical bytes match, so
-		// a same-hash-different-encoding slip fails loudly.
+		// paranoid mode verifies the stored canonical keys match, so
+		// a same-fingerprint-different-key slip fails loudly.
 		sw := fuzzSymWorld(t)
 		mw := fuzzSymWorld(t)
 		sv := newVisitedSet(Options{Paranoid: true, Symmetry: true, Strategy: DFS})

@@ -77,12 +77,14 @@ func (c *Cancel) Cancel() { c.flag.Store(true) }
 func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 
 // visitedSet is the deduplication structure every driver shares: the
-// lock-free open-addressing fingerprint table of vtable.go, keyed by
-// the state hash (model.World.AppendHash
-// or AppendCanonicalHash: the multiply-fold hash64 over the encoding,
-// unseeded, so fingerprints and with them compact-mode omissions repeat
-// run to run) and tracking for each state the shallowest depth at
-// which it was discovered.
+// lock-free open-addressing fingerprint table of vtable.go, holding for
+// each state its collapsed key (model.World.AppendKey, or
+// AppendCanonicalKey: one interned piece id per component — machine,
+// inbox, globals, timers — under the set's one model.Interner) and the
+// shallowest depth at which it was discovered. The fingerprint is the
+// key's content hash, a fold over the pieces' hash64 digests: unseeded
+// and independent of interning order, so fingerprints and with them
+// compact-mode omissions repeat run to run and at any worker count.
 //
 // Min-depth tracking is what makes bounded exploration deterministic:
 // a state first reached through a long path is re-expanded if a
@@ -94,26 +96,28 @@ func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 // before starting the next, so its first visit is already the
 // shallowest and it never re-expands; runDFS does.
 //
-// In exact mode (the default) the table stores every state's full
-// encoding in an append-only arena and resolves fingerprint matches
-// byte-for-byte, so distinct states are never merged; paranoid mode
-// turns a fingerprint collision into an error instead of probing past
-// it (the hashing-scheme validation used by FuzzStateHash). Compact
-// mode (Options.Compact) keeps fingerprints only — Spin's hash
-// compaction — and the engines surface the omission bound in
-// Result.Omission.
+// In exact mode (the default) the table stores every state's key in an
+// append-only arena and resolves fingerprint matches against it, so
+// distinct states are never merged: under one interner equal keys mean
+// equal encodings. Paranoid mode turns a fingerprint collision into an
+// error instead of probing past it (the hashing-scheme validation used
+// by FuzzStateHash). Compact mode (Options.Compact) keeps fingerprints
+// only — Spin's hash compaction — and the engines surface the omission
+// bound in Result.Omission.
 type visitedSet struct {
-	// canon keys states by the symmetry-canonical encoding
-	// (model.World.AppendCanonicalHash) instead of the plain one —
+	// canon keys states by the symmetry-canonical components
+	// (model.World.AppendCanonicalKey) instead of the plain ones —
 	// Options.Symmetry under DFS/BFS. Every engine sharing the set then
 	// dedups permutation-equivalent states into one entry.
 	canon bool
+	in    *model.Interner
 	table *visitedTable
 }
 
 func newVisitedSet(opt Options) *visitedSet {
 	return &visitedSet{
 		canon: opt.Symmetry && (opt.Strategy == DFS || opt.Strategy == BFS),
+		in:    model.NewInterner(),
 		table: newVisitedTable(opt.Compact && !opt.Paranoid, opt.Paranoid,
 			int64(opt.MaxStates), opt.Budget, vtMinSlots),
 	}
@@ -127,7 +131,11 @@ func (v *visitedSet) size() int { return v.table.size() }
 func (v *visitedSet) omission() float64 { return v.table.omission() }
 
 // stats scans the final table; call after the run has quiesced.
-func (v *visitedSet) stats() *VisitedStats { return v.table.stats() }
+func (v *visitedSet) stats() *VisitedStats {
+	s := v.table.stats()
+	s.Components = v.in.Len()
+	return s
+}
 
 // markResult reports the outcome of recording one state.
 type markResult struct {
@@ -141,17 +149,16 @@ type markResult struct {
 	capped bool
 }
 
-// markVisited records the world at the given depth, using buf as
-// encoding scratch (pass the previous call's return to avoid
-// reallocating). In paranoid mode a fingerprint hit is verified
-// byte-for-byte against the stored encoding and a genuine collision is
-// an error.
+// markVisited records the world at the given depth, using buf as key
+// scratch (pass the previous call's return to avoid reallocating). In
+// paranoid mode a fingerprint hit is verified against the stored key
+// and a genuine collision is an error.
 func markVisited(v *visitedSet, w *model.World, depth int, buf []byte) (markResult, []byte, error) {
 	var h uint64
 	if v.canon {
-		h, buf = w.AppendCanonicalHash(buf)
+		h, buf = w.AppendCanonicalKey(v.in, buf)
 	} else {
-		h, buf = w.AppendHash(buf)
+		h, buf = w.AppendKey(v.in, buf)
 	}
 	m, err := v.table.mark(h, buf, depth)
 	return m, buf, err

@@ -29,13 +29,14 @@ import (
 //
 // Exactness backstop. In exact mode (the default) every claimed slot
 // publishes, in a parallel refs array, a packed reference into an
-// append-only byte arena holding the state's full canonical encoding.
-// A fingerprint match is confirmed byte-for-byte against the arena
-// before the slot is treated as "this state"; a genuine fingerprint
-// collision keeps probing and the colliding state claims its own slot.
-// Visited-set answers are therefore exact — two distinct states are
-// never merged — while the per-state footprint stays a flat 16 bytes
-// of table plus the encoding bytes.
+// append-only byte arena holding the state's collapsed key: the ids of
+// its interned components (model.World.AppendKey), a few bytes where
+// the full encoding took hundreds. A fingerprint match is confirmed
+// against the stored key before the slot is treated as "this state"; a
+// genuine fingerprint collision keeps probing and the colliding state
+// claims its own slot. Visited-set answers are therefore exact — two
+// distinct states are never merged — while the per-state footprint
+// stays a flat 16 bytes of table plus the key bytes.
 //
 // Compact mode (Options.Compact) drops the refs array and the arena
 // entirely — Spin's hash compaction: a fingerprint match *is* the
@@ -142,7 +143,7 @@ func (t *vtable) chunks() int64 {
 }
 
 // visitedTable is the engine-facing store: the current table
-// generation, the encoding arena, and the state accounting shared with
+// generation, the key arena, and the state accounting shared with
 // MaxStates and the campaign Budget.
 type visitedTable struct {
 	compact  bool
@@ -185,8 +186,8 @@ func (v *visitedTable) omission() float64 {
 	return p
 }
 
-// mark records the state with hash h and encoding enc (ignored in
-// compact mode) discovered at the given depth. It returns the same
+// mark records the state with fingerprint hash h and key enc (ignored
+// in compact mode) discovered at the given depth. It returns the same
 // markResult triple as the historical sharded-map store: isNew for a
 // first discovery, expand for first discovery or strictly shallower
 // rediscovery, capped when MaxStates or the shared Budget refused the
@@ -258,7 +259,7 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 
 		default:
 			// Fingerprint match. Exact mode confirms identity against
-			// the stored encoding — refs stay readable after sealing —
+			// the stored key — refs stay readable after sealing —
 			// and treats a mismatch as a collision: paranoid errors,
 			// otherwise the colliding state keeps probing for its own
 			// slot (the exactness backstop).
@@ -266,7 +267,7 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 				if !v.arena.equal(v.waitRef(t, idx), enc) {
 					if v.paranoid {
 						return markResult{}, false, fmt.Errorf(
-							"check: hash collision: fingerprint %#x shared by two distinct states (%d-byte encoding)", fp, len(enc))
+							"check: hash collision: fingerprint %#x shared by two distinct states (%d-byte key)", fp, len(enc))
 					}
 					break
 				}
@@ -462,9 +463,10 @@ func (v *visitedTable) waitRef(t *vtable, idx uint64) uint64 {
 }
 
 // VisitedStats describes the visited table after a run: sizing, probe
-// quality and arena footprint. Slot layout details are diagnostic —
-// probe displacements in a parallel run depend on claim interleaving,
-// so these numbers are not part of the determinism contract.
+// quality, arena footprint and the interned components behind it. Slot
+// layout details are diagnostic — probe displacements in a parallel run
+// depend on claim interleaving, so these numbers are not part of the
+// determinism contract.
 type VisitedStats struct {
 	// Slots and Live are the final table capacity and claimed slots.
 	Slots, Live int
@@ -476,9 +478,13 @@ type VisitedStats struct {
 	// ProbeHist buckets entries by probe displacement 0..7, with an
 	// 8-and-over tail bucket.
 	ProbeHist [9]int
-	// ArenaBytes is the total encoding bytes retained by the exactness
-	// arena (0 in compact mode).
+	// ArenaBytes is the total key bytes retained by the exactness arena
+	// (0 in compact mode).
 	ArenaBytes int64
+	// Components is the number of distinct state components (machine
+	// contents, inbox contents, globals vectors, timer windows, replica
+	// sub-states) interned to build the keys; each is stored once.
+	Components int
 	// Compact reports hash-compaction mode (no arena, fingerprints
 	// only).
 	Compact bool
@@ -496,8 +502,8 @@ func (s *VisitedStats) String() string {
 	if s.Slots > 0 {
 		occ = float64(s.Live) / float64(s.Slots)
 	}
-	out := fmt.Sprintf("visited[%s]: %d/%d slots (%.1f%% occupancy), %d grows, arena %d B, max probe %d\n",
-		mode, s.Live, s.Slots, occ*100, s.Grows, s.ArenaBytes, s.MaxProbe)
+	out := fmt.Sprintf("visited[%s]: %d/%d slots (%.1f%% occupancy), %d grows, arena %d B of keys, %d components, max probe %d\n",
+		mode, s.Live, s.Slots, occ*100, s.Grows, s.ArenaBytes, s.Components, s.MaxProbe)
 	out += "probe histogram:"
 	for i, n := range s.ProbeHist {
 		label := fmt.Sprintf("%d", i)
@@ -525,6 +531,7 @@ func (s *VisitedStats) merge(o *VisitedStats) {
 		s.ProbeHist[i] += o.ProbeHist[i]
 	}
 	s.ArenaBytes += o.ArenaBytes
+	s.Components += o.Components
 	s.Compact = s.Compact || o.Compact
 }
 
@@ -560,7 +567,7 @@ func (v *visitedTable) stats() *VisitedStats {
 	return s
 }
 
-// encArena stores full state encodings for the exactness backstop:
+// encArena stores state keys for the exactness backstop:
 // per-shard append-only chunks, written once under the shard mutex and
 // read lock-free through copy-on-write chunk tables. References pack
 // (shard, chunk, offset, length) into a non-zero uint64 published via
@@ -596,17 +603,16 @@ func arenaUnpack(ref uint64) (shard, chunk, off, n int) {
 
 // store copies enc into the fingerprint's shard and returns its
 // reference. Chunk sizes double from 4 KB to 512 KB so small runs pay
-// small allocations; an oversized encoding gets a dedicated chunk.
+// small allocations; an oversized key gets a dedicated chunk.
 func (a *encArena) store(fp uint64, enc []byte) uint64 {
 	if len(enc) > arenaMaxEnc {
-		panic(fmt.Sprintf("check: state encoding of %d bytes exceeds the visited arena limit", len(enc)))
+		panic(fmt.Sprintf("check: state key of %d bytes exceeds the visited arena limit", len(enc)))
 	}
 	shard := int(fp & (arenaShardCount - 1))
 	s := &a.shards[shard]
 	s.mu.Lock()
-	chunks := s.chunks.Load()
 	var cs [][]byte
-	if chunks != nil {
+	if chunks := s.chunks.Load(); chunks != nil {
 		cs = *chunks
 	}
 	if len(cs) == 0 || s.off+len(enc) > len(cs[len(cs)-1]) {
@@ -617,12 +623,14 @@ func (a *encArena) store(fp uint64, enc []byte) uint64 {
 		if size < len(enc) {
 			size = len(enc)
 		}
+		// Only a new chunk table escapes to the heap; a store into the
+		// current chunk allocates nothing.
 		grown := make([][]byte, len(cs)+1)
 		copy(grown, cs)
 		grown[len(cs)] = make([]byte, size)
 		cs = grown
 		s.off = 0
-		s.chunks.Store(&cs)
+		s.chunks.Store(&grown)
 	}
 	chunk := len(cs) - 1
 	off := s.off
@@ -647,7 +655,7 @@ func (a *encArena) equal(ref uint64, enc []byte) bool {
 	return string(a.load(ref)) == string(enc)
 }
 
-// equalRefs compares two stored encodings.
+// equalRefs compares two stored keys.
 func (a *encArena) equalRefs(r1, r2 uint64) bool {
 	if r1 == r2 {
 		return true

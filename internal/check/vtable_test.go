@@ -29,7 +29,7 @@ func vtKey(k uint8) (h uint64, enc []byte) {
 }
 
 // vtRefMark is the reference model: a plain min-depth map keyed by the
-// full encoding (exact mode) or the fingerprint (compact mode).
+// state key (exact mode) or the fingerprint (compact mode).
 func vtRefMark(ref map[string]int, key string, depth int) markResult {
 	prior, ok := ref[key]
 	if !ok {

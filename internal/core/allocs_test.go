@@ -144,3 +144,33 @@ func TestParallelAllocBudget(t *testing.T) {
 		t.Fatalf("layered screening allocates %.0f B/state, budget is %.0f: a per-transition allocation is back", bytes, maxBytesPerState)
 	}
 }
+
+// TestScenarioEventsAllocFree: offering a standard world's events costs
+// an expansion no allocation, untimed or under the NAS timer profile
+// (WithTiming filters a static scenario once, up front). The random-walk
+// "full" world samples its events and is the one exception.
+func TestScenarioEventsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, name := range WorldNames() {
+		if name == "full" {
+			continue
+		}
+		for _, timed := range []bool{false, true} {
+			s := StandardWorlds(false)[name]
+			if timed {
+				var err error
+				if s, err = WithTiming(s, TimingNAS); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(s.Scenario.Events(s.World)) == 0 {
+				t.Fatalf("%s (timed %v): no events offered", name, timed)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { s.Scenario.Events(s.World) }); allocs != 0 {
+				t.Errorf("%s (timed %v): Events allocates %.1f per call", name, timed, allocs)
+			}
+		}
+	}
+}

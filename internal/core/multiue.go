@@ -65,14 +65,11 @@ func MultiUEWorld(n int, fixed bool) Scoped {
 	if err := w.SetSymmetry(multiUESymmetry(n)); err != nil {
 		panic(fmt.Sprintf("core: MultiUEWorld: %v", err))
 	}
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return events
-	})
 	return Scoped{
 		Finding:  S4,
 		Fixed:    fixed,
 		World:    w,
-		Scenario: sc,
+		Scenario: check.StaticScenario(events),
 		Props:    properties,
 		Options:  check.Options{MaxDepth: 48, MaxStates: 1 << 20},
 	}
@@ -157,14 +154,11 @@ func MultiUEWorldShared(n int, fixed bool) Scoped {
 	if err := w.SetSymmetry(multiUESymmetry(n)); err != nil {
 		panic(fmt.Sprintf("core: MultiUEWorldShared: %v", err))
 	}
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return events
-	})
 	return Scoped{
 		Finding:  S4,
 		Fixed:    fixed,
 		World:    w,
-		Scenario: sc,
+		Scenario: check.StaticScenario(events),
 		Props:    properties,
 		Options:  check.Options{MaxDepth: 48, MaxStates: 1 << 20},
 	}

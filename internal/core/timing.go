@@ -70,10 +70,15 @@ type timedScenario struct {
 }
 
 func (s timedScenario) Events(w *model.World) []model.EnvEvent {
-	evs := s.inner.Events(w)
+	return untimed(s.inner.Events(w), s.owned)
+}
+
+// untimed returns a copy of evs without the periodic-timer events of
+// the owned processes.
+func untimed(evs []model.EnvEvent, owned map[string]bool) []model.EnvEvent {
 	out := make([]model.EnvEvent, 0, len(evs))
 	for _, e := range evs {
-		if e.Msg.Kind == types.MsgPeriodicTimer && s.owned[e.Proc] {
+		if e.Msg.Kind == types.MsgPeriodicTimer && owned[e.Proc] {
 			continue
 		}
 		out = append(out, e)
@@ -131,7 +136,12 @@ func WithTiming(s Scoped, profile TimingProfile) (Scoped, error) {
 	if err := s.World.EnableTiming(defs); err != nil {
 		return Scoped{}, fmt.Errorf("core: timing %s: %w", s.Finding, err)
 	}
-	s.Scenario = timedScenario{inner: s.Scenario, owned: owned}
+	// A static scenario is filtered once, here, and stays static.
+	if static, ok := s.Scenario.(check.StaticScenario); ok {
+		s.Scenario = check.StaticScenario(untimed(static, owned))
+	} else {
+		s.Scenario = timedScenario{inner: s.Scenario, owned: owned}
+	}
 	s.Options.Timing = true
 	return s, nil
 }

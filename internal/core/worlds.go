@@ -79,16 +79,14 @@ func S1World(fixed bool) Scoped {
 			{Name: names.SGSNSM, Spec: sm.SGSNSpec(sm.SGSNOptions{})},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UEEMM, types.MsgPowerOn),
-			env(names.UEGMM, types.MsgInterSystemSwitchCommand),
-			envCause(names.UESM, types.MsgDeactivatePDPRequest, types.CauseQoSNotAccepted),
-			envCause(names.SGSNSM, types.MsgNetDetachOrder, types.CauseIncompatiblePDPContext),
-			env(names.UESM, types.MsgWiFiAvailable),
-			env(names.UEEMM, types.MsgInterSystemCellReselect),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UEEMM, types.MsgPowerOn),
+		env(names.UEGMM, types.MsgInterSystemSwitchCommand),
+		envCause(names.UESM, types.MsgDeactivatePDPRequest, types.CauseQoSNotAccepted),
+		envCause(names.SGSNSM, types.MsgNetDetachOrder, types.CauseIncompatiblePDPContext),
+		env(names.UESM, types.MsgWiFiAvailable),
+		env(names.UEEMM, types.MsgInterSystemCellReselect),
+	}
 	return Scoped{
 		Finding:  S1,
 		Fixed:    fixed,
@@ -113,15 +111,13 @@ func S2World(fixed bool) Scoped {
 			{Name: names.MMEEMM, Spec: emm.MMESpec(emm.MMEOptions{}), Lossy: !fixed, Reorder: !fixed},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UEEMM, types.MsgPowerOn),
-			// The NAS timer drives both attach retransmission (the S2
-			// duplicate source) and periodic TAUs (which surface the
-			// lost-signal inconsistency).
-			env(names.UEEMM, types.MsgPeriodicTimer),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UEEMM, types.MsgPowerOn),
+		// The NAS timer drives both attach retransmission (the S2
+		// duplicate source) and periodic TAUs (which surface the
+		// lost-signal inconsistency).
+		env(names.UEEMM, types.MsgPeriodicTimer),
+	}
 	return Scoped{
 		Finding:  S2,
 		Fixed:    fixed,
@@ -149,15 +145,13 @@ func S3World(fixed bool, switchOpt int) Scoped {
 			{Name: names.MSCCM, Spec: cm.MSCSpec(cm.MSCOptions{})},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UERRC4G, types.MsgUserDataOn),
-			env(names.UECM, types.MsgUserDialCall),
-			env(names.UECM, types.MsgUserHangUp),
-			env(names.UERRC3G, types.MsgUserDataOff),
-			env(names.UERRC3G, types.MsgInterSystemCellReselect),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UERRC4G, types.MsgUserDataOn),
+		env(names.UECM, types.MsgUserDialCall),
+		env(names.UECM, types.MsgUserHangUp),
+		env(names.UERRC3G, types.MsgUserDataOff),
+		env(names.UERRC3G, types.MsgInterSystemCellReselect),
+	}
 	return Scoped{
 		Finding:  S3,
 		Fixed:    fixed,
@@ -182,13 +176,11 @@ func S4CSWorld(fixed bool) Scoped {
 			{Name: names.MSCCM, Spec: cm.MSCSpec(cm.MSCOptions{})},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UEMM, types.MsgPowerOn),
-			env(names.UEMM, types.MsgUserMove),
-			env(names.UECM, types.MsgUserDialCall),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UEMM, types.MsgPowerOn),
+		env(names.UEMM, types.MsgUserMove),
+		env(names.UECM, types.MsgUserDialCall),
+	}
 	return Scoped{
 		Finding:  S4,
 		Fixed:    fixed,
@@ -217,13 +209,11 @@ func S4PSWorld(fixed bool) Scoped {
 			{Name: names.SGSNSM, Spec: sm.SGSNSpec(sm.SGSNOptions{})},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UEGMM, types.MsgPowerOn),
-			env(names.UEGMM, types.MsgUserMove),
-			env(names.UESM, types.MsgUserDataOn),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UEGMM, types.MsgPowerOn),
+		env(names.UEGMM, types.MsgUserMove),
+		env(names.UESM, types.MsgUserDataOn),
+	}
 	return Scoped{
 		Finding:  S4,
 		Fixed:    fixed,
@@ -249,14 +239,12 @@ func S6World(fixed bool) Scoped {
 			{Name: names.UERRC4G, Spec: rrc4g.DeviceSpec(rrc4g.DeviceOptions{}), OutputTo: []string{names.UEMM}},
 		},
 	})
-	sc := check.ScenarioFunc(func(w *model.World) []model.EnvEvent {
-		return []model.EnvEvent{
-			env(names.UEEMM, types.MsgPowerOn),
-			env(names.MSCMM, types.MsgLUFailureSignal),
-			env(names.UERRC4G, types.MsgNetSwitchOrder),
-			env(names.UEEMM, types.MsgInterSystemCellReselect),
-		}
-	})
+	sc := check.StaticScenario{
+		env(names.UEEMM, types.MsgPowerOn),
+		env(names.MSCMM, types.MsgLUFailureSignal),
+		env(names.UERRC4G, types.MsgNetSwitchOrder),
+		env(names.UEEMM, types.MsgInterSystemCellReselect),
+	}
 	return Scoped{
 		Finding:  S6,
 		Fixed:    fixed,

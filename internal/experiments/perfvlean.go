@@ -22,7 +22,7 @@ import (
 //     shared-core screen under POR+Symmetry where exact mode truncates
 //     at a state cap sized to a fixed memory budget while compact mode,
 //     whose per-state footprint is ~8 bytes of table instead of table
-//     plus encoding arena, finishes the fixpoint inside the same bytes.
+//     plus arena, finishes the fixpoint inside the same bytes.
 
 // vleanBench runs one screening configuration under testing.Benchmark
 // and fills the common PerfRun fields.
@@ -108,10 +108,12 @@ func PerfVlean() ([]PerfRun, error) {
 
 // PerfVleanPorSym is the compaction completion demonstration on the
 // 4-UE shared-core world under POR+Symmetry. Both legs get the same
-// visited-set memory budget; exact mode spends hundreds of bytes per
-// state on slots, refs and the encoding arena where compact mode
-// spends ~8 B/state of slots, so the same bytes buy compact mode ~30×
-// the state cap. The
+// visited-set memory budget as sized when exact mode stored full
+// encodings: hundreds of bytes per state on slots, refs and the
+// encoding arena where compact mode spends ~8 B/state of slots, so the
+// same bytes bought compact mode ~30× the state cap. (Exact mode now
+// stores collapsed keys, ~37 B/state on this world; the caps are kept
+// so the label stays comparable across runs.) The
 // exact leg caps out mid-search — its state count pins at exactly
 // MaxStates, an incomplete frontier. The compact leg exhausts the
 // frontier well below its cap: it reaches the depth-bounded

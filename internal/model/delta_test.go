@@ -50,20 +50,70 @@ func TestHash64Vectors(t *testing.T) {
 	}
 }
 
-// rebuild constructs x's state from scratch on a fresh timed sym world:
-// nothing is shared with x — no encoding memo, scratch or layout.
+// rebuild constructs x's state from scratch on a fresh sym world, timed
+// if x is: nothing is shared with x — no encoding memo, scratch, key
+// cache or layout.
 func rebuild(t testing.TB, x *World, n int) *World {
 	id := make([]int, n)
 	for i := range id {
 		id[i] = i
 	}
+	if x.timing == nil {
+		return permuteSymWorld(t, x, n, id)
+	}
 	return permuteTimedSymWorld(t, x, n, id)
 }
 
-// sameAsRebuilt reports how x's encodings and hashes differ from those
-// of its rebuilt twin and of a fresh Clone (whose scratch was never
-// warmed), or nil.
-func sameAsRebuilt(t testing.TB, x *World, n int, buf *[]byte) error {
+// deltaWorlds builds the worlds a delta program runs on: the timed one
+// (replica pieces re-interned on every key) and the untimed one
+// (replica pieces cached by stamp).
+var deltaWorlds = []struct {
+	name string
+	make func(testing.TB, int) (*World, []EnvEvent)
+}{{"timed", newTimedSymWorld}, {"untimed", newSymWorld}}
+
+// keyLedger keys worlds under one interner and remembers, plain and
+// canonical alike, which encoding each key stood for: equal keys must
+// mean equal encodings and equal encodings equal keys.
+type keyLedger struct {
+	in           *Interner
+	plain, canon map[string]string // key -> encoding
+	byEnc        map[string]string // "p"/"c" + encoding -> key
+}
+
+func newKeyLedger(in *Interner) *keyLedger {
+	return &keyLedger{in: in, plain: map[string]string{}, canon: map[string]string{}, byEnc: map[string]string{}}
+}
+
+// note keys x both ways and checks the two bijections.
+func (l *keyLedger) note(x *World) error {
+	_, key := x.AppendKey(l.in, nil)
+	_, ckey := x.AppendCanonicalKey(l.in, nil)
+	for _, e := range []struct {
+		name      string
+		seen      map[string]string
+		key, enc  []byte
+		encPrefix string
+	}{{"plain", l.plain, key, x.Encode(nil), "p"}, {"canonical", l.canon, ckey, x.EncodeCanonical(nil), "c"}} {
+		if prev, ok := e.seen[string(e.key)]; ok && prev != string(e.enc) {
+			return fmt.Errorf("equal %s keys %x for two different encodings", e.name, e.key)
+		}
+		e.seen[string(e.key)] = string(e.enc)
+		if prev, ok := l.byEnc[e.encPrefix+string(e.enc)]; ok && prev != string(e.key) {
+			return fmt.Errorf("one %s encoding under two keys %x and %x", e.name, prev, e.key)
+		}
+		l.byEnc[e.encPrefix+string(e.enc)] = string(e.key)
+	}
+	return nil
+}
+
+// sameAsRebuilt reports how x's encodings, hashes, keys and
+// fingerprints differ from those of its rebuilt twin and of a fresh
+// Clone (whose encoder scratch was never warmed and whose key cache is
+// only what CloneInto handed over), or nil. All keys are taken under
+// the ledger's interner, which then checks x's keys against its
+// encodings.
+func sameAsRebuilt(t testing.TB, x *World, n int, buf *[]byte, led *keyLedger) error {
 	for _, ref := range []struct {
 		name string
 		w    *World
@@ -81,8 +131,25 @@ func sameAsRebuilt(t testing.TB, x *World, n int, buf *[]byte) error {
 		if h, *buf = x.AppendCanonicalHash(*buf); h != ref.w.CanonicalHash() {
 			return fmt.Errorf("CanonicalHash differs from the %s world's", ref.name)
 		}
+		for _, kind := range []struct {
+			name string
+			key  func(w *World, buf []byte) (uint64, []byte)
+		}{
+			{"key", func(w *World, buf []byte) (uint64, []byte) { return w.AppendKey(led.in, buf) }},
+			{"canonical key", func(w *World, buf []byte) (uint64, []byte) { return w.AppendCanonicalKey(led.in, buf) }},
+		} {
+			var fx uint64
+			fx, *buf = kind.key(x, *buf)
+			fr, rkey := kind.key(ref.w, nil)
+			if !bytes.Equal(*buf, rkey) {
+				return fmt.Errorf("%s %x differs from the %s world's %x", kind.name, *buf, ref.name, rkey)
+			}
+			if fx != fr {
+				return fmt.Errorf("%s fingerprint differs from the %s world's", kind.name, ref.name)
+			}
+		}
 	}
-	return nil
+	return led.note(x)
 }
 
 // TestCanonicalReflectsEveryWrite: whatever way a harness has to change
@@ -109,12 +176,17 @@ func TestCanonicalReflectsEveryWrite(t *testing.T) {
 	for _, wr := range writes {
 		w, events := newTimedSymWorld(t, n)
 		driveSym(t, w, events, []byte{1, 0, 2, 4, 3, 1})
+		led := newKeyLedger(NewInterner())
 		before := w.EncodeCanonical(nil) // warms every cache
+		_, ckey := w.AppendCanonicalKey(led.in, nil)
 		wr.do(w)
 		if bytes.Equal(before, w.EncodeCanonical(nil)) {
 			t.Errorf("%s: canonical encoding unchanged", wr.name)
 		}
-		if err := sameAsRebuilt(t, w, n, &buf); err != nil {
+		if _, after := w.AppendCanonicalKey(led.in, nil); bytes.Equal(ckey, after) {
+			t.Errorf("%s: canonical key unchanged", wr.name)
+		}
+		if err := sameAsRebuilt(t, w, n, &buf, led); err != nil {
 			t.Errorf("%s: %v", wr.name, err)
 		}
 	}
@@ -122,15 +194,17 @@ func TestCanonicalReflectsEveryWrite(t *testing.T) {
 
 // runDelta interprets data as a program of (op, arg) pairs over a timed
 // 3-replica world and checks after every instruction that the live
-// worlds still encode and hash like their rebuilt twins. The program
+// worlds still encode, hash and key like their rebuilt twins, every
+// key taken under the one interner in. The program
 // mixes what the engines do — Apply, nested Save/Restore frames used
 // the way runDFS uses them (one Undo per depth, restored any number of
 // times), CloneInto into one reused destination from two diverging
 // sources — with what harnesses do: direct writes, and globals whose
 // names are new to the layout in the middle of a run. Timers arm,
 // cancel and fire through the steps' lifecycle hooks.
-func runDelta(t testing.TB, w *World, events []EnvEvent, data []byte) error {
+func runDelta(t testing.TB, in *Interner, w *World, events []EnvEvent, data []byte) error {
 	const n = 3
+	led := newKeyLedger(in)
 	other, pooled := w.Clone(), &World{}
 	var frames [4]Undo
 	depth := 0
@@ -171,10 +245,10 @@ func runDelta(t testing.TB, w *World, events []EnvEvent, data []byte) error {
 				src = other
 			}
 			src.CloneInto(pooled)
-			if err = sameAsRebuilt(t, pooled, n, &buf); err == nil {
+			if err = sameAsRebuilt(t, pooled, n, &buf, led); err == nil {
 				// The copy must go its own way with its caches warm.
 				if err = step(pooled, arg>>1); err == nil {
-					err = sameAsRebuilt(t, pooled, n, &buf)
+					err = sameAsRebuilt(t, pooled, n, &buf, led)
 				}
 			}
 			if err != nil {
@@ -198,7 +272,7 @@ func runDelta(t testing.TB, w *World, events []EnvEvent, data []byte) error {
 			}
 		}
 		if err == nil {
-			err = sameAsRebuilt(t, w, n, &buf)
+			err = sameAsRebuilt(t, w, n, &buf, led)
 		}
 		if err != nil {
 			return fmt.Errorf("instruction %d (op %d, arg %d): %w", i/2, op, arg, err)
@@ -208,17 +282,21 @@ func runDelta(t testing.TB, w *World, events []EnvEvent, data []byte) error {
 }
 
 func TestQuickDeltaState(t *testing.T) {
-	prop := func(data []byte) bool {
-		w, events := newTimedSymWorld(t, 3)
-		if err := runDelta(t, w, events, data); err != nil {
-			t.Logf("program %v: %v", data, err)
-			return false
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(20140817))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
+	for _, dw := range deltaWorlds {
+		t.Run(dw.name, func(t *testing.T) {
+			prop := func(data []byte) bool {
+				w, events := dw.make(t, 3)
+				if err := runDelta(t, NewInterner(), w, events, data); err != nil {
+					t.Logf("program %v: %v", data, err)
+					return false
+				}
+				return true
+			}
+			cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(20140817))}
+			if err := quick.Check(prop, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -235,9 +313,11 @@ func FuzzDeltaState(f *testing.F) {
 		if len(data) > 128 {
 			data = data[:128]
 		}
-		w, events := newTimedSymWorld(t, 3)
-		if err := runDelta(t, w, events, data); err != nil {
-			t.Fatal(err)
+		for _, dw := range deltaWorlds {
+			w, events := dw.make(t, 3)
+			if err := runDelta(t, NewInterner(), w, events, data); err != nil {
+				t.Fatalf("%s: %v", dw.name, err)
+			}
 		}
 	})
 }
@@ -245,28 +325,32 @@ func FuzzDeltaState(f *testing.F) {
 // TestDeltaStateSharedLayout runs two programs at once on worlds cloned
 // from one root, the parallel engine's situation: the two share one
 // globals layout, and each grows it (mutex-guarded, memoized growth)
-// while the other resolves spans against it. Run under -race.
+// while the other resolves spans against it; both key their states
+// under one interner. Run under -race.
 func TestDeltaStateSharedLayout(t *testing.T) {
-	root, events := newTimedSymWorld(t, 3)
-	driveSym(t, root, events, []byte{1, 0, 2})
-	rng := rand.New(rand.NewSource(7))
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		w := root.Clone()
-		if w.glay != root.glay {
-			t.Fatal("clone does not share the root's globals layout")
-		}
-		prog := make([]byte, 400)
-		rng.Read(prog)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := runDelta(t, w, events, prog); err != nil {
-				t.Error(err)
+	for _, dw := range deltaWorlds {
+		root, events := dw.make(t, 3)
+		driveSym(t, root, events, []byte{1, 0, 2})
+		in := NewInterner()
+		rng := rand.New(rand.NewSource(7))
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			w := root.Clone()
+			if w.glay != root.glay {
+				t.Fatal("clone does not share the root's globals layout")
 			}
-		}()
+			prog := make([]byte, 400)
+			rng.Read(prog)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := runDelta(t, in, w, events, prog); err != nil {
+					t.Errorf("%s: %v", dw.name, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestSaveApplyRestoreAllocFree: the apply/undo cycle of the sequential

@@ -190,6 +190,10 @@ type World struct {
 	scratch    *ctx
 	enbuf      []int
 	symScratch *symScratch
+	// keys memoizes the interned pieces of the components' recent
+	// contents for AppendKey (key.go); never shared, but CloneInto hands
+	// the copy the pieces of the content it copied.
+	keys keyCache
 }
 
 // Config declares the construction of a World.
@@ -356,8 +360,9 @@ func (w *World) CloneInto(dst *World) {
 	np, nc := len(w.Procs), len(w.Chans)
 	if cap(dst.procs) < np || cap(dst.chans) < nc {
 		// New machines start their stamps over, so what the canonical
-		// encoder cached against the old ones goes with them.
-		dst.symScratch = nil
+		// encoder and the key cache hold against the old ones goes with
+		// them.
+		dst.symScratch, dst.keys = nil, keyCache{}
 		dst.procs = make([]Proc, np)
 		dst.chans = make([]Channel, nc)
 		dst.machines = make([]fsm.Machine, np)
@@ -389,6 +394,7 @@ func (w *World) CloneInto(dst *World) {
 	dst.sym, dst.symRes = w.sym, w.symRes
 	dst.timing, dst.now = w.timing, w.now
 	dst.timers = append(dst.timers[:0], w.timers...)
+	w.handOverKeys(dst)
 }
 
 // Encode appends a canonical binary encoding of the full global state.
@@ -397,44 +403,66 @@ func (w *World) CloneInto(dst *World) {
 // message records, then the globals as a u16 count plus sorted
 // name/value pairs. No map iteration, no sorting, no string keys on
 // the hot path.
+//
+// Each of those sections is one component of the world's collapsed key
+// (key.go), written by the same piece function here and there: the
+// encoding is the concatenation of the pieces the key interns.
 func (w *World) Encode(buf []byte) []byte {
-	var tmp [4]byte
 	for _, p := range w.Procs {
 		buf = p.M.Encode(buf)
 	}
 	for _, c := range w.Chans {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.queue)))
-		buf = append(buf, tmp[:2]...)
-		for _, m := range c.queue {
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
-			buf = append(buf, tmp[:2]...)
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
-			buf = append(buf, tmp[:2]...)
-			binary.LittleEndian.PutUint32(tmp[:4], m.Seq)
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
-			buf = append(buf, m.From...)
-			buf = append(buf, 0)
-		}
+		buf = appendQueue(buf, c)
 	}
-	nglob := 0
-	if w.glay != nil {
-		nglob = len(w.glay.names)
-	}
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(nglob))
-	buf = append(buf, tmp[:2]...)
-	for i := 0; i < nglob; i++ {
-		buf = append(buf, w.glay.names[i]...)
-		buf = append(buf, 0)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-		buf = append(buf, tmp[:4]...)
-	}
+	buf = w.appendGlobals(buf)
 	// Timed worlds append the zone-abstracted armed-timer section;
 	// untimed encodings are byte-for-byte what they always were.
 	if w.timing != nil {
 		buf = w.encodeTimers(buf)
 	}
 	return buf
+}
+
+// appendMsg appends the fixed-width part of a message record — kind,
+// cause, sequence number, system, domain, protocol — shared by the plain
+// and the replica-relative queue pieces.
+func appendMsg(buf []byte, m *types.Message) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Kind))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Cause))
+	buf = binary.LittleEndian.AppendUint32(buf, m.Seq)
+	return append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
+}
+
+// appendQueue appends one inbox's piece: a u16 length, then per message
+// the fixed-width record and the NUL-terminated sender name.
+func appendQueue(buf []byte, c *Channel) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.queue)))
+	for i := range c.queue {
+		buf = appendMsg(buf, &c.queue[i])
+		buf = append(buf, c.queue[i].From...)
+		buf = append(buf, 0)
+	}
+	return buf
+}
+
+// appendGlobals appends the globals piece: a u16 count, then the
+// name/value pairs in layout (sorted) order.
+func (w *World) appendGlobals(buf []byte) []byte {
+	if w.glay == nil {
+		return binary.LittleEndian.AppendUint16(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.glay.names)))
+	for i, name := range w.glay.names {
+		buf = appendGlobal(buf, name, w.gvals[i])
+	}
+	return buf
+}
+
+// appendGlobal appends one NUL-terminated global name and its u32 value.
+func appendGlobal(buf []byte, name string, v int32) []byte {
+	buf = append(buf, name...)
+	buf = append(buf, 0)
+	return binary.LittleEndian.AppendUint32(buf, uint32(v))
 }
 
 // Hash returns the hash64 digest of the positional encoding (Encode).

@@ -61,6 +61,15 @@ type symResolution struct {
 	rest []int
 }
 
+// replicas returns the number of replicas over all groups.
+func (r *symResolution) replicas() int {
+	n := 0
+	for _, grp := range r.groups {
+		n += len(grp)
+	}
+	return n
+}
+
 type symReplicaRes struct {
 	procs  []int
 	prefix string // "g." + NS + "."
@@ -93,17 +102,52 @@ type symLayout struct {
 type gspan struct{ lo, hi int }
 
 // repCache is one replica's sub-encoding plus what it was encoded from.
-// sub[:keep] — machines, queues and globals — stands while the machines
-// and queues still carry stamps (equal stamp, equal content) and the
-// replica's globals still have these names and values; keep = 0 says
-// nothing stands. Armed timers follow it and are encoded on every call:
-// their windows are relative to a clock that most steps move.
+// sub[:keep] — machines, queues and globals — stands while the replica
+// is still at that repState; keep = 0 says nothing stands. Armed timers
+// follow it and are encoded on every call: their windows are relative
+// to a clock that most steps move.
 type repCache struct {
-	sub    []byte
-	keep   int
+	sub  []byte
+	keep int
+	at   repState
+}
+
+// repState names one content of a replica's machines, queues and
+// namespace globals: the components' stamps (equal stamp, equal
+// content) and the globals' names and values.
+type repState struct {
 	stamps []uint64 // machine stamps, then queue stamps, in role order
 	gnames []string // a sub-slice of some layout's names, never written
 	gvals  []int32
+}
+
+// matches reports whether the replica is still at s. Globals: as many
+// as before, with the same values; the same names too if this is the
+// very stretch of names s saw, else compared (the layout may be a
+// sibling: another namespace grew meanwhile, or this one did).
+func (s *repState) matches(w *World, rep *symReplicaRes, gnames []string, gvals []int32) bool {
+	n := len(rep.procs)
+	if len(s.stamps) != 2*n || !slices.Equal(s.gvals, gvals) {
+		return false
+	}
+	for j, pi := range rep.procs {
+		if s.stamps[j] != w.Procs[pi].M.Stamp() || s.stamps[n+j] != w.Chans[pi].stamp {
+			return false
+		}
+	}
+	return len(gnames) == 0 || &s.gnames[0] == &gnames[0] || slices.Equal(s.gnames, gnames)
+}
+
+// record sets s to the replica's current content, reusing s's storage.
+func (s *repState) record(w *World, rep *symReplicaRes, gnames []string, gvals []int32) {
+	s.stamps = s.stamps[:0]
+	for _, pi := range rep.procs {
+		s.stamps = append(s.stamps, w.Procs[pi].M.Stamp())
+	}
+	for _, pi := range rep.procs {
+		s.stamps = append(s.stamps, w.Chans[pi].stamp)
+	}
+	s.gnames, s.gvals = gnames, append(s.gvals[:0], gvals...)
 }
 
 // SetSymmetry attaches a replica-symmetry descriptor to the world and
@@ -215,12 +259,8 @@ func (w *World) filterSymmetry(keep map[string]bool) *Symmetry {
 func (w *World) scratchFor() (*symScratch, *symLayout) {
 	sc := w.symScratch
 	if sc == nil || sc.res != w.symRes {
-		sc = &symScratch{res: w.symRes, lays: make(map[*glayout]*symLayout)}
-		for _, grp := range w.symRes.groups {
-			for ri := range grp {
-				sc.reps = append(sc.reps, repCache{stamps: make([]uint64, 2*len(grp[ri].procs))})
-			}
-		}
+		sc = &symScratch{res: w.symRes, lays: make(map[*glayout]*symLayout),
+			reps: make([]repCache, w.symRes.replicas())}
 		w.symScratch = sc
 	}
 	if lay := sc.lays[w.glay]; lay != nil {
@@ -260,17 +300,10 @@ next:
 // infrastructure, the environment) encodes by name (tag 0). The other
 // message fields match Encode's fixed-width record.
 func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.queue)))
-	buf = append(buf, tmp[:2]...)
-	for _, m := range c.queue {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
-		buf = append(buf, tmp[:2]...)
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
-		buf = append(buf, tmp[:2]...)
-		binary.LittleEndian.PutUint32(tmp[:4], m.Seq)
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.queue)))
+	for i := range c.queue {
+		m := &c.queue[i]
+		buf = appendMsg(buf, m)
 		role := -1
 		for j, pi := range local {
 			if w.Procs[pi].Name == m.From {
@@ -294,39 +327,20 @@ func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
 // the globals of the replica's namespace (gnames, gvals: its span of
 // the layout and of the slab), and on timed worlds its armed timers.
 func (w *World) encodeReplica(rep *symReplicaRes, rc *repCache, gnames []string, gvals []int32) {
-	var tmp [4]byte
-	n := len(rep.procs)
-	kept := rc.keep > 0 && slices.Equal(rc.gvals, gvals)
-	for j := 0; kept && j < n; j++ {
-		pi := rep.procs[j]
-		kept = rc.stamps[j] == w.Procs[pi].M.Stamp() && rc.stamps[n+j] == w.Chans[pi].stamp
-	}
-	// As many globals as before; the same ones? Yes if this is the very
-	// stretch of names the cache saw. Otherwise compare: the layout may
-	// be a sibling (another namespace grew meanwhile, or this one did).
-	if kept && len(gnames) > 0 && &rc.gnames[0] != &gnames[0] {
-		kept = slices.Equal(rc.gnames, gnames)
-	}
 	sub := rc.sub[:rc.keep]
-	if !kept {
+	if rc.keep == 0 || !rc.at.matches(w, rep, gnames, gvals) {
 		sub = sub[:0]
-		for j, pi := range rep.procs {
-			rc.stamps[j] = w.Procs[pi].M.Stamp()
+		for _, pi := range rep.procs {
 			sub = w.Procs[pi].M.Encode(sub)
 		}
-		for j, pi := range rep.procs {
-			rc.stamps[n+j] = w.Chans[pi].stamp
+		for _, pi := range rep.procs {
 			sub = w.encodeQueueLocal(sub, w.Chans[pi], rep.procs)
 		}
-		rc.gnames, rc.gvals = gnames, append(rc.gvals[:0], gvals...)
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(gnames)))
-		sub = append(sub, tmp[:2]...)
+		sub = binary.LittleEndian.AppendUint16(sub, uint16(len(gnames)))
 		for i, name := range gnames {
-			sub = append(sub, name[len(rep.prefix):]...)
-			sub = append(sub, 0)
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(gvals[i]))
-			sub = append(sub, tmp[:4]...)
+			sub = appendGlobal(sub, name[len(rep.prefix):], gvals[i])
 		}
+		rc.at.record(w, rep, gnames, gvals)
 		rc.keep = len(sub)
 	}
 	// The replica's armed timers, in definition order, keyed by the
@@ -336,15 +350,10 @@ func (w *World) encodeReplica(rep *symReplicaRes, rc *repCache, gnames []string,
 	// order).
 	if w.timing != nil {
 		for ti := range w.timers {
-			pi := int(w.timing.defProc[w.timers[ti].def])
-			for _, rp := range rep.procs {
-				if rp == pi {
-					d := &w.timing.defs[w.timers[ti].def]
-					sub = append(sub, d.Name...)
-					sub = append(sub, 0)
-					sub = w.encodeTimerRel(sub, &w.timers[ti])
-					break
-				}
+			if slices.Contains(rep.procs, int(w.timing.defProc[w.timers[ti].def])) {
+				sub = append(sub, w.timing.defs[w.timers[ti].def].Name...)
+				sub = append(sub, 0)
+				sub = w.encodeTimerRel(sub, &w.timers[ti])
 			}
 		}
 	}
@@ -366,7 +375,6 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		return w.Encode(buf)
 	}
 	sc, lay := w.scratchFor()
-	var tmp [4]byte
 	reps, spans := sc.reps, lay.spans
 	for _, grp := range w.symRes.groups {
 		for ri := range grp {
@@ -388,8 +396,7 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		}
 		sc.order = order
 		for _, ri := range order {
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(reps[ri].sub)))
-			buf = append(buf, tmp[:4]...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(reps[ri].sub)))
 			buf = append(buf, reps[ri].sub...)
 		}
 		reps, spans = reps[len(grp):], spans[len(grp):]
@@ -400,32 +407,32 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 	for _, pi := range w.symRes.rest {
 		buf = w.encodeQueueLocal(buf, w.Chans[pi], nil)
 	}
-	// Non-replica globals: the complement of the namespaced spans.
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(lay.rest)))
-	buf = append(buf, tmp[:2]...)
-	for _, i := range lay.rest {
-		buf = append(buf, lay.names[i]...)
-		buf = append(buf, 0)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-		buf = append(buf, tmp[:4]...)
-	}
-	// Armed timers of non-replica processes follow positionally, as in
-	// Encode (replica-owned timers were folded into the sub-encodings).
+	buf = w.appendRestGlobals(buf, lay)
 	if w.timing != nil {
-		for ti := range w.timers {
-			pi := int(w.timing.defProc[w.timers[ti].def])
-			inRest := false
-			for _, rp := range w.symRes.rest {
-				if rp == pi {
-					inRest = true
-					break
-				}
-			}
-			if !inRest {
-				continue
-			}
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(w.timers[ti].def))
-			buf = append(buf, tmp[:2]...)
+		buf = w.appendRestTimers(buf)
+	}
+	return buf
+}
+
+// appendRestGlobals appends the non-replica globals piece: the
+// complement of the namespaced spans, as a u16 count plus name/value
+// pairs.
+func (w *World) appendRestGlobals(buf []byte, lay *symLayout) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lay.rest)))
+	for _, i := range lay.rest {
+		buf = appendGlobal(buf, lay.names[i], w.gvals[i])
+	}
+	return buf
+}
+
+// appendRestTimers appends the armed timers of non-replica processes
+// positionally, as in Encode (replica-owned timers were folded into the
+// sub-encodings).
+func (w *World) appendRestTimers(buf []byte) []byte {
+	for ti := range w.timers {
+		pi := int(w.timing.defProc[w.timers[ti].def])
+		if slices.Contains(w.symRes.rest, pi) {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(w.timers[ti].def))
 			buf = w.encodeTimerRel(buf, &w.timers[ti])
 		}
 	}

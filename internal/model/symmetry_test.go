@@ -209,7 +209,8 @@ func allPerms(n int) [][]int {
 
 // TestCanonicalEncodingPermutationInvariant is the soundness half:
 // for random reachable states w and EVERY permutation pi, the
-// canonical encoding (and hash) of pi(w) equals that of w.
+// canonical encoding, hash, key and key fingerprint of pi(w) equal
+// those of w.
 func TestCanonicalEncodingPermutationInvariant(t *testing.T) {
 	const n = 3
 	perms := allPerms(n)
@@ -221,6 +222,8 @@ func TestCanonicalEncodingPermutationInvariant(t *testing.T) {
 		driveSym(t, w, events, data)
 		base := append([]byte(nil), w.EncodeCanonical(nil)...)
 		baseHash := w.CanonicalHash()
+		in := NewInterner()
+		baseFP, baseKey := w.AppendCanonicalKey(in, nil)
 		for _, perm := range perms {
 			pw := permuteSymWorld(t, w, n, perm)
 			if !bytes.Equal(base, pw.EncodeCanonical(nil)) {
@@ -229,6 +232,10 @@ func TestCanonicalEncodingPermutationInvariant(t *testing.T) {
 			}
 			if pw.CanonicalHash() != baseHash {
 				t.Logf("schedule %v perm %v: canonical hashes differ", data, perm)
+				return false
+			}
+			if fp, key := pw.AppendCanonicalKey(in, nil); fp != baseFP || !bytes.Equal(key, baseKey) {
+				t.Logf("schedule %v perm %v: canonical keys or fingerprints differ", data, perm)
 				return false
 			}
 		}
@@ -509,7 +516,8 @@ func permuteTimedSymWorld(t testing.TB, w *World, n int, perm []int) *World {
 // TestCanonicalTimedPermutationInvariant extends the soundness half to
 // virtual time: for random reachable timed states (the drive fires,
 // hook-arms and hook-cancels timers along the way) and EVERY replica
-// permutation, the canonical encoding and hash of pi(w) equal w's —
+// permutation, the canonical encoding, hash, key and fingerprint of
+// pi(w) equal w's —
 // per-replica armed timers fold into the permuted sub-encodings.
 func TestCanonicalTimedPermutationInvariant(t *testing.T) {
 	const n = 3
@@ -522,6 +530,8 @@ func TestCanonicalTimedPermutationInvariant(t *testing.T) {
 		driveSym(t, w, events, data)
 		base := append([]byte(nil), w.EncodeCanonical(nil)...)
 		baseHash := w.CanonicalHash()
+		in := NewInterner()
+		baseFP, baseKey := w.AppendCanonicalKey(in, nil)
 		for _, perm := range perms {
 			pw := permuteTimedSymWorld(t, w, n, perm)
 			if !bytes.Equal(base, pw.EncodeCanonical(nil)) {
@@ -530,6 +540,10 @@ func TestCanonicalTimedPermutationInvariant(t *testing.T) {
 			}
 			if pw.CanonicalHash() != baseHash {
 				t.Logf("schedule %v perm %v: timed canonical hashes differ", data, perm)
+				return false
+			}
+			if fp, key := pw.AppendCanonicalKey(in, nil); fp != baseFP || !bytes.Equal(key, baseKey) {
+				t.Logf("schedule %v perm %v: timed canonical keys or fingerprints differ", data, perm)
 				return false
 			}
 		}

@@ -409,12 +409,9 @@ func (w *World) applyTimer(p *Proc, s Step) (Step, error) {
 // behaviorally irrelevant (firing sets now = max(now, lo), a no-op when
 // lo <= now), so states differing only there correctly collapse.
 func (w *World) encodeTimers(buf []byte) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(w.timers)))
-	buf = append(buf, tmp[:2]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.timers)))
 	for i := range w.timers {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(w.timers[i].def))
-		buf = append(buf, tmp[:2]...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(w.timers[i].def))
 		buf = w.encodeTimerRel(buf, &w.timers[i])
 	}
 	return buf
@@ -423,14 +420,6 @@ func (w *World) encodeTimers(buf []byte) []byte {
 // encodeTimerRel appends one timer's zone-relative window (the shared
 // tail of the plain and canonical encodings).
 func (w *World) encodeTimerRel(buf []byte, t *armedTimer) []byte {
-	var tmp [4]byte
-	rl := t.lo - w.now
-	if rl < 0 {
-		rl = 0
-	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(rl))
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(t.hi-w.now))
-	buf = append(buf, tmp[:4]...)
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(max(t.lo-w.now, 0)))
+	return binary.LittleEndian.AppendUint32(buf, uint32(t.hi-w.now))
 }

@@ -103,7 +103,10 @@ rm -f /tmp/viol_ref.$$ /tmp/viol_timed.$$
 echo ok
 
 echo "== layered-engine gate (bfs summary line — states, transitions, verdict — byte-identical at 1, 2 and 8 workers) =="
-for args in "-world multiue-shared" "-world s6" "-world s1 -timing"; do
+# The -sym runs key the visited table canonically while the frontier
+# holds plain keys; -compact keeps no key in the table at all.
+for args in "-world multiue-shared" "-world s6" "-world s1 -timing" \
+    "-world multiue-shared -sym" "-world s6 -timing -sym" "-world multiue-shared -sym -compact"; do
     # shellcheck disable=SC2086 # $args is intentionally word-split
     /tmp/cnetverify.$$ $args -strategy bfs -workers 1 >/tmp/sum_w1.$$
     for w in 2 8; do
@@ -125,15 +128,15 @@ echo ok
 echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
 go test -race -run 'TestVTable' ./internal/check
 
-echo "== alloc budgets (flat visited table, keying, canonical hashing, scenario events and apply/undo stay on the alloc-free hot path) =="
+echo "== alloc budgets (flat visited table, keying, key loading, canonical hashing, scenario events and apply/undo stay on the alloc-free hot path) =="
 go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget|TestParallelAllocBudget|TestScenarioEventsAllocFree' ./internal/core
-go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree|TestAppendKeyAllocFree' ./internal/model
+go test -run 'TestAppendCanonicalHashAllocFree|TestSaveApplyRestoreAllocFree|TestAppendKeyAllocFree|TestLoadKeyAllocFree' ./internal/model
 
 echo "== delta-state race leg (stamped undo + replica cache, two worlds sharing one globals layout) =="
 go test -race -count=10 -run 'TestDeltaStateSharedLayout' ./internal/model
 
-echo "== collapsed-key race leg (lock-free interner reads and folds, per-world piece caches, clone hand-over) =="
-go test -race -count=5 -run 'TestInternerConcurrent|TestKeyFingerprintIndependentOfInterningOrder|TestKeyDistinguishesWhatEncodingDistinguishes|TestQuickDeltaState' ./internal/model
+echo "== collapsed-key race leg (lock-free interner reads and folds, piece values published before their ids, per-world piece caches, clone and load hand-over) =="
+go test -race -count=5 -run 'TestInternerConcurrent|TestKeyFingerprintIndependentOfInterningOrder|TestKeyDistinguishesWhatEncodingDistinguishes|TestQuickDeltaState|TestLoadKeyConcurrent|TestLoadKeyPieceKinds' ./internal/model
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/netemu ./internal/emu ./internal/fixes

@@ -30,13 +30,16 @@
 // trace from which no single step can be removed, re-verified with
 // check.Replay, and printed with its stability digest.
 //
-// Exit status: 1 on error or an unmet -min-new floor, 0 otherwise.
+// Exit status: 2 on misuse (a stray argument, an unknown world, a flag
+// the mode does not use, a count below 1), 1 on error or an unmet
+// -min-new floor, 0 otherwise.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,49 +52,101 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// fuzzOnly lists the flags that configure fuzzing, which -screen does
+// not do.
+var fuzzOnly = []string{"budget", "workers", "seed", "round", "max-events", "drain", "corpus",
+	"cov-report", "min-new", "first", "timing", "timing-profile"}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cnetfuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		world     = flag.String("world", "full", "world to fuzz: "+strings.Join(core.WorldNames(), ", ")+", or all (with -screen)")
-		fixed     = flag.Bool("fixed", false, "enable the §8 fixes")
-		budget    = flag.Int("budget", 50000, "total applied-transition budget")
-		workers   = flag.Int("workers", 1, "executor goroutines (any count gives identical results)")
-		seed      = flag.Int64("seed", 1, "run seed")
-		round     = flag.Int("round", 32, "candidate schedules per round")
-		maxEvents = flag.Int("max-events", 12, "max environment events per schedule")
-		drain     = flag.Int("drain", 8, "queued messages processed after each injection")
-		corpusDir = flag.String("corpus", "", "schedule corpus directory (load *.sched seeds, write kept inputs back)")
-		doShrink  = flag.Bool("shrink", false, "ddmin-shrink every violation to a 1-minimal trace")
-		doScreen  = flag.Bool("screen", false, "take violations from a screening campaign instead of fuzzing")
-		covReport = flag.Bool("cov-report", false, "print the coverage table and the uniform-random control arm")
-		jsonOut   = flag.Bool("json", false, "emit a machine-readable JSON summary")
-		minNew    = flag.Int("min-new", 0, "exit 1 unless at least N inputs lit up new coverage")
-		first     = flag.Bool("first", false, "stop fuzzing at the end of the first violating round")
-		timing    = flag.Bool("timing", false, "discrete virtual time: fuzz with protocol timers as [earliest, latest] expiry windows, timer-expiry directives and window stretches join the mutation operators")
-		timProf   = flag.String("timing-profile", "nas", "timer-window derivation for -timing: nas or degenerate (see cnetverify)")
+		world     = fs.String("world", "full", "world to fuzz: "+strings.Join(core.WorldNames(), ", ")+", or all (with -screen)")
+		fixed     = fs.Bool("fixed", false, "enable the §8 fixes")
+		budget    = fs.Int("budget", 50000, "total applied-transition budget")
+		workers   = fs.Int("workers", 1, "executor goroutines (any count gives identical results)")
+		seed      = fs.Int64("seed", 1, "run seed")
+		round     = fs.Int("round", 32, "candidate schedules per round")
+		maxEvents = fs.Int("max-events", 12, "max environment events per schedule")
+		drain     = fs.Int("drain", 8, "queued messages processed after each injection")
+		corpusDir = fs.String("corpus", "", "schedule corpus directory (load *.sched seeds, write kept inputs back)")
+		doShrink  = fs.Bool("shrink", false, "ddmin-shrink every violation to a 1-minimal trace")
+		doScreen  = fs.Bool("screen", false, "take violations from a screening campaign instead of fuzzing")
+		covReport = fs.Bool("cov-report", false, "print the coverage table and the uniform-random control arm")
+		jsonOut   = fs.Bool("json", false, "emit a machine-readable JSON summary (with -screen: of the shrunk traces, so -shrink too)")
+		minNew    = fs.Int("min-new", 0, "exit 1 unless at least N inputs lit up new coverage")
+		first     = fs.Bool("first", false, "stop fuzzing at the end of the first violating round")
+		timing    = fs.Bool("timing", false, "discrete virtual time: fuzz with protocol timers as [earliest, latest] expiry windows, timer-expiry directives and window stretches join the mutation operators")
+		timProf   = fs.String("timing-profile", "nas", "timer-window derivation for -timing: nas or degenerate (see cnetverify)")
 	)
-	flag.Parse()
-
-	if *doScreen {
-		if err := screenMode(*world, *fixed, *doShrink, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		return
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cnetfuzz: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cnetfuzz:", err)
+		return 1
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q (choose the world with -world)", fs.Arg(0))
+	}
+	name := strings.ToLower(*world)
+	s, ok := core.StandardWorlds(*fixed)[name]
+	if !ok && !(*doScreen && name == "all") {
+		return usage("unknown world %q (known: %s; all with -screen)", *world, strings.Join(core.WorldNames(), ", "))
+	}
+	if *doScreen {
+		for _, f := range fuzzOnly {
+			if set[f] {
+				return usage("-%s configures fuzzing; -screen screens the standard worlds untimed and does not fuzz", f)
+			}
+		}
+		if *jsonOut && !*doShrink {
+			return usage("-json with -screen reports the shrunk traces; add -shrink")
+		}
+		if name == "all" && *fixed {
+			return usage("-screen -world all screens the defective worlds; -fixed needs one world")
+		}
+		scoped := []core.Scoped{s}
+		if name == "all" {
+			scoped = core.ScopedModels()
+		}
+		if err := screenMode(stdout, scoped, *doShrink, *jsonOut); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	if set["timing-profile"] && !*timing {
+		return usage("-timing-profile needs -timing")
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"budget", *budget}, {"workers", *workers}, {"round", *round}, {"max-events", *maxEvents}, {"drain", *drain}} {
+		if f.v < 1 {
+			return usage("-%s must be at least 1, got %d", f.name, f.v)
+		}
 	}
 
-	s, ok := core.StandardWorlds(*fixed)[strings.ToLower(*world)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cnetfuzz: unknown world %q (want %s)\n", *world, strings.Join(core.WorldNames(), ", "))
-		os.Exit(1)
-	}
 	if *timing {
 		profile, err := core.ParseTimingProfile(*timProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return usage("-timing-profile: %v", err)
 		}
 		if s, err = core.WithTiming(s, profile); err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -109,23 +164,20 @@ func main() {
 	if *corpusDir != "" {
 		seeds, err := loadCorpus(*corpusDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		opt.Corpus = seeds
 	}
 
 	res, err := fuzz.Fuzz(s.World, s.Props, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	var baseline *fuzz.Result
 	if *covReport {
 		if baseline, err = fuzz.RandomBaseline(s.World, s.Props, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -134,8 +186,7 @@ func main() {
 		for _, v := range res.Violations {
 			sr, err := fuzz.Shrink(s.World, s.Props, v, fuzz.ShrinkOptions{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			shrunk = append(shrunk, *sr)
 		}
@@ -143,8 +194,7 @@ func main() {
 
 	if *corpusDir != "" {
 		if err := saveCorpus(*corpusDir, res.Corpus); err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -157,67 +207,57 @@ func main() {
 		}{*world, res, baseline, shrunk}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cnetfuzz:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 	} else {
-		printFuzz(*world, s.World, res, baseline, *covReport)
-		printShrunk(shrunk)
+		printFuzz(stdout, *world, s.World, res, baseline, *covReport)
+		printShrunk(stdout, shrunk)
 	}
 
 	if res.NewCoverageInputs < *minNew {
-		fmt.Fprintf(os.Stderr, "cnetfuzz: only %d new-coverage inputs, want >= %d\n", res.NewCoverageInputs, *minNew)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cnetfuzz: only %d new-coverage inputs, want >= %d\n", res.NewCoverageInputs, *minNew)
+		return 1
 	}
+	return 0
 }
 
-func printFuzz(world string, w *model.World, res, baseline *fuzz.Result, covReport bool) {
-	fmt.Printf("fuzz %s: %d schedules in %d rounds, %d steps, %d new-coverage inputs, %d violation(s)\n",
+func printFuzz(out io.Writer, world string, w *model.World, res, baseline *fuzz.Result, covReport bool) {
+	fmt.Fprintf(out, "fuzz %s: %d schedules in %d rounds, %d steps, %d new-coverage inputs, %d violation(s)\n",
 		world, res.Schedules, res.Rounds, res.Steps, res.NewCoverageInputs, len(res.Violations))
-	fmt.Printf("coverage digest %s\n", res.CoverageDigest)
+	fmt.Fprintf(out, "coverage digest %s\n", res.CoverageDigest)
 	if covReport {
-		fmt.Print(res.Coverage.Report(w))
+		fmt.Fprint(out, res.Coverage.Report(w))
 		if baseline != nil {
-			fmt.Printf("uniform-random control at the same budget: %d/%d transitions, %d pairs (%d steps)\n",
+			fmt.Fprintf(out, "uniform-random control at the same budget: %d/%d transitions, %d pairs (%d steps)\n",
 				baseline.TransitionsFired, baseline.TransitionsTotal, baseline.PairsCovered, baseline.Steps)
-			fmt.Print(baseline.Coverage.Report(w))
+			fmt.Fprint(out, baseline.Coverage.Report(w))
 		}
 	}
 	for _, v := range res.Violations {
-		fmt.Print(check.FormatCounterexample(v))
+		fmt.Fprint(out, check.FormatCounterexample(v))
 	}
 }
 
-func printShrunk(shrunk []fuzz.ShrinkResult) {
+func printShrunk(out io.Writer, shrunk []fuzz.ShrinkResult) {
 	for _, sr := range shrunk {
-		fmt.Printf("shrunk %s (%s): %d -> %d steps in %d tests, digest %s\n",
+		fmt.Fprintf(out, "shrunk %s (%s): %d -> %d steps in %d tests, digest %s\n",
 			sr.Property, sr.Desc, sr.OriginalSteps, sr.Steps, sr.Tests, sr.Digest)
 		for i, s := range sr.Path {
-			fmt.Printf("  %3d. %s\n", i+1, s)
+			fmt.Fprintf(out, "  %3d. %s\n", i+1, s)
 		}
 	}
 }
 
 // screenMode runs the screening campaign and (with -shrink) reduces its
 // counterexamples — the pipeline behind the minimized golden corpus.
-func screenMode(world string, fixed, doShrink, jsonOut bool) error {
-	var scoped []core.Scoped
-	if strings.ToLower(world) == "all" {
-		scoped = core.ScopedModels()
-	} else {
-		s, ok := core.StandardWorlds(fixed)[strings.ToLower(world)]
-		if !ok {
-			return fmt.Errorf("unknown world %q", world)
-		}
-		scoped = []core.Scoped{s}
-	}
+func screenMode(stdout io.Writer, scoped []core.Scoped, doShrink, jsonOut bool) error {
 	results, err := core.ScreenWorlds(scoped, nil, core.CampaignOptions{})
 	if err != nil {
 		return err
 	}
 	if !doShrink {
-		fmt.Print(core.Report(results, false))
+		fmt.Fprint(stdout, core.Report(results, false))
 		return nil
 	}
 	shrunk, err := core.ShrinkScreened(scoped, results, fuzz.ShrinkOptions{})
@@ -233,12 +273,12 @@ func screenMode(world string, fixed, doShrink, jsonOut bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 		return nil
 	}
 	for i, r := range results {
-		fmt.Printf("%s: %d violation(s)\n", r.Finding, len(r.Result.Violations))
-		printShrunk(shrunk[i])
+		fmt.Fprintf(stdout, "%s: %d violation(s)\n", r.Finding, len(r.Result.Violations))
+		printShrunk(stdout, shrunk[i])
 	}
 	return nil
 }

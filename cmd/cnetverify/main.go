@@ -53,8 +53,9 @@
 // -stats prints, per world, the visited-table diagnostics (slot
 // occupancy, growth count, probe-length histogram, the bytes of state
 // keys in the arena and the number of distinct components they were
-// built from) and a final process memory summary — the knobs to watch
-// when sizing -states against available memory.
+// built from), the layered engine's widest frontier layer (bfs, or
+// -workers above 1) and a final process memory summary — the knobs to
+// watch when sizing -states against available memory.
 //
 // -cpuprofile and -memprofile write pprof profiles of the campaign (the
 // heap profile is taken after the run, post-GC); feed them to
@@ -75,7 +76,8 @@
 // standalone analyzer).
 //
 // Exit status is 2 when a property violation is found in a fixed world
-// (the §8 solutions must be clean), 0 otherwise.
+// (the §8 solutions must be clean), 1 on a usage error (a stray
+// argument, an unknown world or strategy) or a failed run, 0 otherwise.
 package main
 
 import (
@@ -110,7 +112,7 @@ func main() {
 		sym      = flag.Bool("sym", false, "enable symmetry reduction (canonical replica-permutation quotient; dfs/bfs only)")
 		onlyViol = flag.Bool("violations", false, "print only the canonical violation set (sorted property/description lines), for byte-comparing runs")
 		compact  = flag.Bool("compact", false, "hash-compaction visited set (~8 B/state, no key arena); the per-world omission-probability bound is reported with -stats")
-		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, key arena bytes, interned components) and the process memory high-water mark")
+		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, key arena bytes, interned components), the widest frontier layer and the process memory high-water mark")
 		timing   = flag.Bool("timing", false, "discrete virtual time: model periodic protocol timers as first-class [earliest, latest] expiry windows (see -timing-profile)")
 		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening — the ci.sh differential gate)")
 		workers  = flag.Int("workers", 1, "exploration workers per world (>1 = layered breadth-first engine for dfs and bfs alike; walk splits its walks)")
@@ -124,7 +126,12 @@ func main() {
 
 	// Checked before anything is built or started: the per-world hook
 	// below runs on ScreenWorlds' goroutines under -parallel, where a
-	// usage error could no longer exit cleanly.
+	// usage error could no longer exit cleanly. A bare world name would
+	// otherwise be ignored and every world screened.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cnetverify: unexpected argument %q (choose the world with -world)\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cnetverify:", err)
@@ -238,6 +245,9 @@ func main() {
 				fmt.Printf(", omission ≤ %.3g", r.Result.Omission)
 			}
 			fmt.Println()
+			if r.Result.MaxFrontier > 0 {
+				fmt.Printf("%s frontier: widest layer %d states\n", f.ID, r.Result.MaxFrontier)
+			}
 		}
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)

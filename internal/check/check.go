@@ -262,6 +262,12 @@ type Result struct {
 	// engine the depth of the last non-empty layer (the largest minimal
 	// depth of any state), under DFS the longest path walked.
 	MaxDepth int
+	// MaxFrontier is the widest layer of the layered engine, in states
+	// awaiting expansion (0 under DFS and RandomWalk); POR runs report
+	// their widest cluster's. Like Transitions it is the same at every
+	// worker count unless MaxStates, a Budget, StopAtFirst or Cancel
+	// cut the run short.
+	MaxFrontier int
 	// Truncated reports whether the exploration was cut short: a path
 	// reached Options.MaxDepth with states still to expand, MaxStates
 	// or the Budget refused a state, or Cancel fired. The layered

@@ -40,7 +40,8 @@ func violationKeys(res *check.Result) []string {
 // distinct-state count, the violation set and the per-process spec
 // coverage; and on the search worlds the runs with 2 and 8 workers
 // equal sequential BFS on everything that counts work — transitions,
-// depth, truncation, message losses and per-transition coverage counts.
+// depth, truncation, message losses, the widest frontier layer and
+// per-transition coverage counts.
 func TestParallelDeterminism(t *testing.T) {
 	worlds := core.StandardWorlds(false)
 	worlds["multiue-shared3"] = core.MultiUEWorldShared(3, false)
@@ -87,10 +88,10 @@ func TestParallelDeterminism(t *testing.T) {
 					}
 					got, want := *r.Result, *seq
 					if got.Transitions != want.Transitions || got.MaxDepth != want.MaxDepth || got.Truncated != want.Truncated ||
-						got.Misrouted != want.Misrouted || got.Dropped != want.Dropped {
-						t.Errorf("transitions/depth/truncated/misrouted/dropped = %d/%d/%v/%d/%d, sequential run has %d/%d/%v/%d/%d",
-							got.Transitions, got.MaxDepth, got.Truncated, got.Misrouted, got.Dropped,
-							want.Transitions, want.MaxDepth, want.Truncated, want.Misrouted, want.Dropped)
+						got.Misrouted != want.Misrouted || got.Dropped != want.Dropped || got.MaxFrontier != want.MaxFrontier {
+						t.Errorf("transitions/depth/truncated/misrouted/dropped/frontier = %d/%d/%v/%d/%d/%d, sequential run has %d/%d/%v/%d/%d/%d",
+							got.Transitions, got.MaxDepth, got.Truncated, got.Misrouted, got.Dropped, got.MaxFrontier,
+							want.Transitions, want.MaxDepth, want.Truncated, want.Misrouted, want.Dropped, want.MaxFrontier)
 					}
 					if !reflect.DeepEqual(got.Covered, want.Covered) {
 						t.Errorf("coverage counts differ from the sequential run:\n got %v\nwant %v", got.Covered, want.Covered)

@@ -18,7 +18,7 @@ type dfsFrame struct {
 	path     pathNode
 }
 
-func (f *dfsFrame) push(_ *model.World, _ *pathNode, applied model.Step) {
+func (f *dfsFrame) push(_ *model.World, _ *pathNode, applied model.Step, _ []byte) {
 	f.children = append(f.children, applied)
 }
 

@@ -11,9 +11,19 @@ import (
 // This file is the exploration kernel: the one place the checker
 // enumerates steps, applies them, counts them, runs the monitors and
 // marks the visited table. The three strategies are frontier drivers
-// over it — runDFS (dfs.go) keeps a stack of per-depth frames,
-// runLayered (parallel.go) a slice per depth shared by the workers,
-// runWalks (walk.go) no frontier at all — and differ in nothing else.
+// over it, and differ in nothing else:
+//
+//   - runDFS (dfs.go) keeps a stack of per-depth frames over one world
+//     explored in place;
+//   - runLayered (parallel.go) keeps a slice of states per depth, each
+//     held as its collapsed key, which a worker rebuilds into its own
+//     world to expand;
+//   - runWalks (walk.go) keeps no frontier at all.
+//
+// Whatever the driver, expand works on a world it may mutate: it
+// applies each step in place, hands a successor to the driver (push)
+// while the world is in it, with the key the visited table was just
+// asked about, and rolls the step back.
 //
 // A run is one engine (what its workers share) and Options.Workers
 // workers (what each goroutine owns). Sequential DFS, and every driver
@@ -26,8 +36,8 @@ import (
 // same world and options these are therefore the same numbers at every
 // worker count:
 //
-//   - States, Transitions, MaxDepth, Truncated, Misrouted, Dropped and
-//     the Covered counts;
+//   - States, Transitions, MaxDepth, MaxFrontier, Truncated, Misrouted,
+//     Dropped and the Covered counts;
 //   - the violation set (property, description pairs) and the length
 //     of each counterexample — a violation is captured in the first
 //     layer that shows it.
@@ -77,11 +87,12 @@ type worker struct {
 	cov *coverage
 
 	transitions, misrouted, dropped int
-	// maxDepth and truncated are the driver's to set (what the deepest
-	// path is depends on the frontier discipline); expand only records
-	// a state the visited table refused.
-	maxDepth  int
-	truncated bool
+	// maxDepth, truncated and maxFrontier are the driver's to set (what
+	// the deepest path is depends on the frontier discipline); expand
+	// only records a state the visited table refused.
+	maxDepth    int
+	truncated   bool
+	maxFrontier int
 }
 
 // newEngine sets a run up: the engine, its workers, and the root state
@@ -174,9 +185,10 @@ type frame struct {
 // successors receives, from expand, each step that led to a state the
 // visited table wants expanded: new, or reached shallower than before.
 // w is still in that state when push runs; prev is the path to the
-// expanded node.
+// expanded node; key is the state's visited key (canonical under
+// Options.Symmetry), valid until the next step.
 type successors interface {
-	push(w *model.World, prev *pathNode, applied model.Step)
+	push(w *model.World, prev *pathNode, applied model.Step, key []byte)
 }
 
 // step applies s to w, which stays in the successor state, and does
@@ -220,7 +232,7 @@ func (wk *worker) expand(w *model.World, prev *pathNode, depth int, f *frame, ou
 	for _, s := range f.steps {
 		applied, mark, ok := wk.step(w, prev, s, depth)
 		if ok && mark.expand {
-			out.push(w, prev, applied)
+			out.push(w, prev, applied, wk.buf)
 		}
 		w.Restore(&f.undo)
 		if !ok {
@@ -274,6 +286,7 @@ func (e *engine) finish(workers []*worker) (*Result, error) {
 		res.Misrouted += wk.misrouted
 		res.Dropped += wk.dropped
 		res.MaxDepth = max(res.MaxDepth, wk.maxDepth)
+		res.MaxFrontier = max(res.MaxFrontier, wk.maxFrontier)
 		res.Truncated = res.Truncated || wk.truncated
 		wk.cov.into(res.Covered)
 	}

@@ -13,72 +13,126 @@ import (
 // The search is level-synchronous: the frontier is one slice holding
 // every state first reached at the current depth. Workers claim
 // layerChunk-sized runs of it through an atomic cursor, expand each
-// node in place into worker-private next slices and world free lists,
-// and the next slices are concatenated into the following layer at a
-// barrier. With one worker that is exactly the FIFO order of a
-// sequential BFS. What the barrier makes deterministic is spelled out
-// in kernel.go.
+// node into worker-private next slices, and the next slices are
+// concatenated into the following layer at a barrier. With one worker
+// that is exactly the FIFO order of a sequential BFS. What the barrier
+// makes deterministic is spelled out in kernel.go.
+//
+// A frontier node holds its state as the state's plain collapsed key
+// (model.World.AppendKey) — a few bytes where a world copy took
+// kilobytes. A worker rebuilds each node it claims into the one world
+// it owns (model.World.LoadKey) and expands it there; the interner
+// keeps the value behind every piece id, so a key is all a state
+// needs.
 
 // layerChunk is the number of frontier nodes a worker claims at a time.
 // A layer no wider than one chunk runs inline on the caller: the small
 // worlds (a few hundred states) never start a goroutine.
 const layerChunk = 64
 
-// node is one frontier entry: a state awaiting expansion and the path
-// that first reached it. Its depth is its layer's.
+// node is one frontier entry: a state awaiting expansion, as its plain
+// key, and the path that first reached it. Its depth is its layer's.
 type node struct {
-	w    *model.World
+	key  []byte
 	path *pathNode
 }
 
 // layerQueue is one worker's side of the frontier, kept across layers:
-// its expansion frame, the path arena, the successors found in the
-// current layer and recycled worlds. Arena nodes are read by other
-// workers in later layers (the barrier is the fence) but only the owner
-// appends.
+// its expansion frame, the world it rebuilds nodes into, the path
+// arena, the successors found in the current layer and the arenas
+// holding their keys. Arena nodes and keys are read by other workers in
+// later layers (the barrier is the fence) but only the owner appends.
 type layerQueue struct {
 	frame
+	w     *model.World
+	in    *model.Interner
+	canon bool   // the visited key is canonical; push takes the plain one
+	kbuf  []byte // push's plain-key scratch under canon
 	arena stepArena
 	next  []node
-	// free recycles worlds: an expanded node's world is refreshed with
-	// CloneInto for a later successor, reusing its slabs and queues.
-	free []*model.World
+	// keys holds the successors' keys by layer parity: the keys written
+	// while expanding layer d are layer d+1's frontier, read until the
+	// barrier after it, so the arena is free again for layer d+2.
+	keys [2]keyArena
+	cur  *keyArena
 }
 
-// push copies the successor state into a world of its own. Only a
-// transition that discovers a state pays for this copy and a path node
-// — in the dense state graphs screening produces, a small fraction.
-func (q *layerQueue) push(w *model.World, prev *pathNode, applied model.Step) {
-	var child *model.World
-	if n := len(q.free); n > 0 {
-		child, q.free = q.free[n-1], q.free[:n-1]
-	} else {
-		child = &model.World{}
+// push files a successor: its key, which markVisited has just built
+// into key, goes into the current key arena, and a path node into the
+// path arena. Only a transition that discovers a state pays for this —
+// in the dense state graphs screening produces, a small fraction.
+func (q *layerQueue) push(w *model.World, prev *pathNode, applied model.Step, key []byte) {
+	if q.canon {
+		// A canonical representative would not replay the path's steps:
+		// the frontier holds the state the path actually reaches.
+		_, q.kbuf = w.AppendKey(q.in, q.kbuf)
+		key = q.kbuf
 	}
-	w.CloneInto(child)
-	q.next = append(q.next, node{w: child, path: q.arena.append(prev, applied)})
+	q.next = append(q.next, node{key: q.cur.append(key), path: q.arena.append(prev, applied)})
 }
 
-// expandAll expands a run of same-depth frontier nodes, each on its own
-// world, stopping between nodes once the run is over.
+// expandAll expands a run of same-depth frontier nodes, each rebuilt in
+// turn into the queue's world, stopping between nodes once the run is
+// over.
 func (q *layerQueue) expandAll(wk *worker, nodes []node, depth int) {
 	for _, n := range nodes {
-		if wk.halted() || !wk.expand(n.w, n.path, depth, &q.frame, q) {
+		if wk.halted() {
 			return
 		}
-		q.free = append(q.free, n.w)
+		q.w.LoadKey(q.in, n.key)
+		if !wk.expand(q.w, n.path, depth, &q.frame, q) {
+			return
+		}
 	}
+}
+
+// keyArenaChunk is the key arena's allocation granularity.
+const keyArenaChunk = 8 << 10
+
+// keyArena holds one layer's keys in chunks that are kept for reuse: a
+// key's bytes never move once written.
+type keyArena struct {
+	chunks [][]byte
+	cur    int // the chunk being filled
+}
+
+// append copies k into the arena and returns the copy.
+func (a *keyArena) append(k []byte) []byte {
+	for a.cur < len(a.chunks) && cap(a.chunks[a.cur])-len(a.chunks[a.cur]) < len(k) {
+		a.cur++
+	}
+	if a.cur == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(keyArenaChunk, len(k))))
+	}
+	c := &a.chunks[a.cur]
+	n := len(*c)
+	*c = append(*c, k...)
+	return (*c)[n:len(*c):len(*c)]
+}
+
+// reset empties the arena, keeping its chunks.
+func (a *keyArena) reset() {
+	for i := range a.chunks {
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.cur = 0
 }
 
 // runLayered is the layered frontier search. With one worker it is
 // sequential BFS, StopAtFirst stopping on the very transition that
 // violates.
 func runLayered(e *engine, workers []*worker) {
+	in := e.visited.in
 	queues := make([]layerQueue, len(workers)) // indexed by worker id
-	frontier := []node{{w: e.root}}
+	for i := range queues {
+		queues[i].in, queues[i].canon = in, e.visited.canon
+	}
+	_, rootKey := e.root.AppendKey(in, nil)
+	frontier := []node{{key: rootKey}}
 	var spare []node // the previous layer's backing array, reused for the next
 	for depth := 0; len(frontier) > 0 && !e.stop.Load(); depth++ {
 		workers[0].maxDepth = depth
+		workers[0].maxFrontier = max(workers[0].maxFrontier, len(frontier))
 		if depth >= e.opt.MaxDepth {
 			workers[0].truncated = true
 			break
@@ -87,12 +141,18 @@ func runLayered(e *engine, workers []*worker) {
 		chunks := (len(frontier) + layerChunk - 1) / layerChunk
 		var cursor atomic.Int64
 		fanOut(workers[:min(len(workers), chunks)], func(wk *worker) {
+			q := &queues[wk.id]
+			if q.w == nil {
+				q.w = e.root.Clone()
+			}
+			q.cur = &q.keys[depth&1]
+			q.cur.reset()
 			for !e.stop.Load() {
 				lo := int(cursor.Add(layerChunk)) - layerChunk
 				if lo >= len(frontier) {
 					return
 				}
-				queues[wk.id].expandAll(wk, frontier[lo:min(lo+layerChunk, len(frontier))], depth)
+				q.expandAll(wk, frontier[lo:min(lo+layerChunk, len(frontier))], depth)
 			}
 		})
 		spare = spare[:0]

@@ -54,9 +54,8 @@ func runPOR(w *model.World, props []Property, sc Scenario, opt Options) (*Result
 		merged.Transitions += res.Transitions
 		merged.Misrouted += res.Misrouted
 		merged.Dropped += res.Dropped
-		if res.MaxDepth > merged.MaxDepth {
-			merged.MaxDepth = res.MaxDepth
-		}
+		merged.MaxDepth = max(merged.MaxDepth, res.MaxDepth)
+		merged.MaxFrontier = max(merged.MaxFrontier, res.MaxFrontier)
 		merged.Truncated = merged.Truncated || res.Truncated
 		// Each cluster run owns a visited table; the compaction
 		// omission bound sums (union bound over clusters) and the

@@ -408,6 +408,17 @@ func (m *Machine) Restore(u *MachineUndo) {
 	m.enc = m.enc[:0]
 }
 
+// Load sets the machine to the content u was saved from, possibly by
+// another machine of the same spec. Unlike Restore it is a mutation
+// like any other: a fresh stamp of the machine's own, a stale encoding
+// memo.
+func (m *Machine) Load(u *MachineUndo) {
+	m.touch()
+	m.state = u.state
+	m.vars = append(m.vars[:0], u.vars...)
+	m.over = append(m.over[:0], u.over...)
+}
+
 // Encode appends the canonical binary encoding of the machine's state
 // to buf: state name (NUL-terminated), the declared variable slab in
 // slot order (4 bytes LE each; the count is fixed by the spec layout),

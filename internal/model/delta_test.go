@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -152,6 +154,58 @@ func sameAsRebuilt(t testing.TB, x *World, n int, buf *[]byte, led *keyLedger) e
 	return led.note(x)
 }
 
+// sameAsLoaded reports how a world rebuilt from x's plain key differs
+// from x, or nil. The key is loaded twice: into a fresh clone of the
+// initial world, and into twin, which has loaded every key before this
+// one (so components whose piece did not change are left as they are).
+// Each rebuilt world must encode and key like x, hold x's queues field
+// for field, enable x's steps and, step by step, reach what x reaches.
+func sameAsLoaded(x, initial, twin *World, events []EnvEvent, in *Interner) error {
+	h, key := x.AppendKey(in, nil)
+	var ux, ur Undo
+	for _, ref := range []struct {
+		name string
+		w    *World
+	}{{"fresh", initial.Clone()}, {"reused", twin}} {
+		r := ref.w
+		r.LoadKey(in, key)
+		if !bytes.Equal(x.Encode(nil), r.Encode(nil)) {
+			return fmt.Errorf("Encode differs from the %s loaded world's", ref.name)
+		}
+		if rh, rkey := r.AppendKey(in, nil); rh != h || !bytes.Equal(rkey, key) {
+			return fmt.Errorf("the %s loaded world keys as %x (%#x), not %x (%#x)", ref.name, rkey, rh, key, h)
+		}
+		for i, c := range x.Chans {
+			if !slices.Equal(c.queue, r.Chans[i].queue) {
+				return fmt.Errorf("inbox %s holds %+v, the %s loaded world's %+v", c.Name, c.queue, ref.name, r.Chans[i].queue)
+			}
+		}
+		steps := x.StepsAppend(nil, events)
+		if rs := r.StepsAppend(nil, events); !reflect.DeepEqual(steps, rs) {
+			return fmt.Errorf("steps %v, the %s loaded world's %v", steps, ref.name, rs)
+		}
+		x.Save(&ux)
+		r.Save(&ur)
+		for _, s := range steps {
+			ax, errx := x.Apply(s)
+			ar, errr := r.Apply(s)
+			if errx != nil || errr != nil {
+				return fmt.Errorf("apply %v: %v on the live world, %v on the %s loaded one", s, errx, errr, ref.name)
+			}
+			if !reflect.DeepEqual(ax, ar) {
+				return fmt.Errorf("applied %+v, on the %s loaded world %+v", ax, ref.name, ar)
+			}
+			hx, kx := x.AppendKey(in, nil)
+			if hr, kr := r.AppendKey(in, nil); hx != hr || !bytes.Equal(kx, kr) {
+				return fmt.Errorf("after %v: key %x, the %s loaded world's %x", s, kx, ref.name, kr)
+			}
+			x.Restore(&ux)
+			r.Restore(&ur)
+		}
+	}
+	return nil
+}
+
 // TestCanonicalReflectsEveryWrite: whatever way a harness has to change
 // a world between two EncodeCanonical calls, the second call shows it.
 func TestCanonicalReflectsEveryWrite(t *testing.T) {
@@ -195,7 +249,8 @@ func TestCanonicalReflectsEveryWrite(t *testing.T) {
 // runDelta interprets data as a program of (op, arg) pairs over a timed
 // 3-replica world and checks after every instruction that the live
 // worlds still encode, hash and key like their rebuilt twins, every
-// key taken under the one interner in. The program
+// key taken under the one interner in, and that the world loaded from
+// the live one's key is the live one (sameAsLoaded). The program
 // mixes what the engines do — Apply, nested Save/Restore frames used
 // the way runDFS uses them (one Undo per depth, restored any number of
 // times), CloneInto into one reused destination from two diverging
@@ -206,6 +261,7 @@ func runDelta(t testing.TB, in *Interner, w *World, events []EnvEvent, data []by
 	const n = 3
 	led := newKeyLedger(in)
 	other, pooled := w.Clone(), &World{}
+	initial, twin := w.Clone(), w.Clone()
 	var frames [4]Undo
 	depth := 0
 	var buf []byte
@@ -268,11 +324,14 @@ func runDelta(t testing.TB, in *Interner, w *World, events []EnvEvent, data []by
 			case 2:
 				err = w.Inject(symPeerName(k), types.Message{Kind: types.MsgUserDataOn, From: symDevName(k)})
 			case 3:
-				w.Chan(symDevName(k)).Push(types.Message{Kind: types.MsgUserMove, From: symPeerName(1 + int(arg>>4)%n)})
+				w.Chan(symDevName(k)).Push(types.Message{Kind: types.MsgUserMove, From: symPeerName(1 + int(arg>>4)%n), To: symDevName(k)})
 			}
 		}
 		if err == nil {
 			err = sameAsRebuilt(t, w, n, &buf, led)
+		}
+		if err == nil {
+			err = sameAsLoaded(w, initial, twin, events, in)
 		}
 		if err != nil {
 			return fmt.Errorf("instruction %d (op %d, arg %d): %w", i/2, op, arg, err)

@@ -5,6 +5,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"cnetverifier/internal/fsm"
+	"cnetverifier/internal/types"
 )
 
 // This file collapses a world state into a short key for the checker's
@@ -19,6 +22,13 @@ import (
 //     concatenate, written by the same piece functions, so two worlds
 //     have equal keys under one Interner exactly when their encodings
 //     are equal.
+//   - A piece is identified by its kind (which piece function wrote it)
+//     and its bytes: the same bytes can be two kinds — an empty inbox
+//     and an empty globals section both encode as 00 00.
+//   - A piece of a plain key keeps the value it was interned from (a
+//     machine's state and variables, an inbox's messages, the globals,
+//     the clock and armed timers), so LoadKey turns a plain key back
+//     into a world.
 //   - The fingerprint is a hash over the pieces' content hashes in key
 //     order, so it depends on the state alone — not on the order in
 //     which a run happened to intern its pieces, nor on its workers.
@@ -26,7 +36,8 @@ import (
 //     contents by change stamp (keyCache): a step re-encodes and
 //     re-interns only what it touched, and the apply/restore ping-pong
 //     of an expansion finds the parent's pieces still there. CloneInto
-//     hands the source's pieces to the copy's fresh stamps.
+//     hands the source's pieces to the copy's fresh stamps, and LoadKey
+//     files each piece it loads under the stamp it gives the component.
 
 // piece is one interned component: its dense id and the hash64 of its
 // bytes.
@@ -35,25 +46,63 @@ type piece struct {
 	hash uint64
 }
 
+// pieceKind names the piece function that wrote a piece's bytes.
+type pieceKind uint8
+
+const (
+	kindMachine     pieceKind = iota // Machine.Encode
+	kindQueue                        // appendQueue
+	kindGlobals                      // appendGlobals
+	kindTimers                       // encodeTimers
+	kindReplica                      // encodeReplica
+	kindRestQueue                    // encodeQueueLocal(nil)
+	kindRestGlobals                  // appendRestGlobals
+	kindRestTimers                   // appendRestTimers
+	numKinds
+)
+
+// pieceVal is what a piece was interned from: for the kinds of a plain
+// key, the content of the component whose bytes the piece is. Writing
+// it back into a component rebuilds exactly those bytes, since the
+// bytes came from it through the piece function.
+type pieceVal struct {
+	hash   uint64
+	mach   fsm.MachineUndo // kindMachine
+	msgs   []types.Message // kindQueue
+	glay   *glayout        // kindGlobals: the layout and the values
+	gvals  []int32
+	now    int64        // kindTimers: the clock and the armed timers,
+	timers []armedTimer // whose windows the piece holds relative to it
+}
+
 // Interner numbers distinct state components for one checking run. It
 // is safe for concurrent use, and its read path takes no lock and
-// writes nothing shared: lookups read a snapshot map through an atomic
-// pointer. A miss falls back to a mutex-guarded overflow map, and the
-// overflow is folded into a fresh snapshot once the misses since the
-// last fold would pay for copying it.
+// writes nothing shared: lookups read a snapshot map per kind through
+// one atomic pointer. A miss falls back to mutex-guarded overflow maps,
+// and the overflow is folded into a fresh snapshot once the misses
+// since the last fold would pay for copying it. The values of the
+// pieces are a slice by id, published through an atomic pointer before
+// the id is.
 type Interner struct {
-	snap atomic.Pointer[map[string]piece]
+	snap atomic.Pointer[[numKinds]map[string]piece]
+	vals atomic.Pointer[[]pieceVal]
 
 	mu     sync.Mutex
-	over   map[string]piece // interned since the snapshot was taken
-	n      int              // pieces interned
-	misses int              // lookups served under mu since the last fold
+	over   [numKinds]map[string]piece // interned since the snapshot was taken
+	n      int                        // pieces interned
+	snapN  int                        // pieces in the snapshot
+	misses int                        // lookups served under mu since the last fold
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	in := &Interner{over: make(map[string]piece)}
-	in.snap.Store(&map[string]piece{})
+	in := &Interner{}
+	var snap [numKinds]map[string]piece
+	for k := range snap {
+		snap[k], in.over[k] = map[string]piece{}, map[string]piece{}
+	}
+	in.snap.Store(&snap)
+	in.vals.Store(&[]pieceVal{})
 	return in
 }
 
@@ -64,40 +113,63 @@ func (in *Interner) Len() int {
 	return in.n
 }
 
-// intern returns the piece for the bytes b, numbering it on first
-// sight. b is not retained.
-func (in *Interner) intern(b []byte) piece {
-	if p, ok := (*in.snap.Load())[string(b)]; ok {
+// intern returns the piece of kind k for the bytes b, numbering it on
+// first sight with the value of component i of w (see pieceValue). b is
+// not retained.
+func (in *Interner) intern(k pieceKind, b []byte, w *World, i int) piece {
+	if p, ok := in.snap.Load()[k][string(b)]; ok {
 		return p
 	}
-	return in.internLocked(b)
+	return in.internLocked(k, b, w, i)
 }
 
-func (in *Interner) internLocked(b []byte) piece {
+func (in *Interner) internLocked(k pieceKind, b []byte, w *World, i int) piece {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	snap := *in.snap.Load()
-	p, ok := snap[string(b)] // a fold may have moved it since the first look
+	snap := in.snap.Load()
+	p, ok := snap[k][string(b)] // a fold may have moved it since the first look
 	if !ok {
-		if p, ok = in.over[string(b)]; !ok {
+		if p, ok = in.over[k][string(b)]; !ok {
 			p = piece{id: uint32(in.n), hash: hash64(b)}
 			in.n++
-			in.over[string(b)] = p
+			vals := append(*in.vals.Load(), pieceVal{hash: p.hash})
+			w.pieceValue(k, i, &vals[p.id])
+			in.vals.Store(&vals) // before the id leaves the lock
+			in.over[k][string(b)] = p
 		}
 	}
-	if in.misses++; in.misses > len(snap)/2+32 {
-		next := make(map[string]piece, len(snap)+len(in.over))
-		for k, v := range snap {
-			next[k] = v
-		}
-		for k, v := range in.over {
-			next[k] = v
+	if in.misses++; in.misses > in.snapN/2+32 {
+		var next [numKinds]map[string]piece
+		for k := range next {
+			next[k] = make(map[string]piece, len(snap[k])+len(in.over[k]))
+			for b, p := range snap[k] {
+				next[k][b] = p
+			}
+			for b, p := range in.over[k] {
+				next[k][b] = p
+			}
+			clear(in.over[k])
 		}
 		in.snap.Store(&next)
-		clear(in.over)
-		in.misses = 0
+		in.snapN, in.misses = in.n, 0
 	}
 	return p
+}
+
+// pieceValue records in v the content of component i that a piece of
+// kind k is being interned from. The canonical kinds keep no value:
+// only plain keys are loaded.
+func (w *World) pieceValue(k pieceKind, i int, v *pieceVal) {
+	switch k {
+	case kindMachine:
+		w.Procs[i].M.Save(&v.mach)
+	case kindQueue:
+		v.msgs = slices.Clone(w.Chans[i].queue)
+	case kindGlobals:
+		v.glay, v.gvals = w.glay, slices.Clone(w.gvals)
+	case kindTimers:
+		v.now, v.timers = w.now, slices.Clone(w.timers)
+	}
 }
 
 // keyCache is a world's memo from component content to interned piece,
@@ -285,10 +357,11 @@ func (b *keyBuilder) add(p piece) {
 	b.n++
 }
 
-// internTail interns enc[len(b.buf):], a piece encoded after the key
-// so far, and drops it, keeping any growth of the buffer.
-func (b *keyBuilder) internTail(enc []byte) piece {
-	p := b.in.intern(enc[len(b.buf):])
+// internTail interns enc[len(b.buf):], a piece of kind k that component
+// i of w encoded after the key so far, and drops it, keeping any growth
+// of the buffer.
+func (b *keyBuilder) internTail(k pieceKind, enc []byte, w *World, i int) piece {
+	p := b.in.intern(k, enc[len(b.buf):], w, i)
 	b.buf = enc[:len(b.buf)]
 	return p
 }
@@ -302,7 +375,7 @@ func (b *keyBuilder) machine(w *World, kc *keyCache, i int) piece {
 	if p, ok := kc.mach[i].get(m.Stamp()); ok {
 		return p
 	}
-	p := b.internTail(m.Encode(b.buf))
+	p := b.internTail(kindMachine, m.Encode(b.buf), w, i)
 	kc.mach[i].put(m.Stamp(), p)
 	return p
 }
@@ -312,7 +385,7 @@ func (b *keyBuilder) queue(w *World, kc *keyCache, i int) piece {
 	if p, ok := kc.queue[i].get(c.stamp); ok {
 		return p
 	}
-	p := b.internTail(appendQueue(b.buf, c))
+	p := b.internTail(kindQueue, appendQueue(b.buf, c), w, i)
 	kc.queue[i].put(c.stamp, p)
 	return p
 }
@@ -322,7 +395,7 @@ func (b *keyBuilder) restQueue(w *World, kc *keyCache, i int) piece {
 	if p, ok := kc.lqueue[i].get(c.stamp); ok {
 		return p
 	}
-	p := b.internTail(w.encodeQueueLocal(b.buf, c, nil))
+	p := b.internTail(kindRestQueue, w.encodeQueueLocal(b.buf, c, nil), w, i)
 	kc.lqueue[i].put(c.stamp, p)
 	return p
 }
@@ -346,14 +419,73 @@ func (w *World) AppendKey(in *Interner, buf []byte) (uint64, []byte) {
 	}
 	p, ok := kc.glob.get(w.glay, w.gvals)
 	if !ok {
-		p = b.internTail(w.appendGlobals(b.buf))
+		p = b.internTail(kindGlobals, w.appendGlobals(b.buf), w, 0)
 		kc.glob.put(w.glay, w.gvals, p)
 	}
 	b.add(p)
 	if w.timing != nil {
-		b.add(b.internTail(w.encodeTimers(b.buf)))
+		b.add(b.internTail(kindTimers, w.encodeTimers(b.buf), w, 0))
 	}
 	return b.sum()
+}
+
+// LoadKey sets w to the state the plain key names: key must come from
+// AppendKey under in, on a world of w's shape (the same processes and
+// timer definitions — a clone of the one the run started from). Each
+// component gets the value its piece was interned from, taking a fresh
+// stamp under which the piece is filed in w's key cache, so keying w
+// and its successors re-interns only what a step touches; a machine or
+// inbox whose current piece is already the key's is left alone.
+//
+// What the key does not carry is not restored:
+//   - An inbox's messages are addressed to the inbox (To is its name),
+//     as Send and Inject address them.
+//   - On a timed world the clock and the absolute windows are those of
+//     the first world whose armed timers were interned as this piece:
+//     the loaded world is a ShiftTime of the one keyed (up to how
+//     overdue an already-fireable timer is, which encodeTimers clamps
+//     because nothing observes it), and arming instants are not kept.
+//   - Stats, the lossage tallies, are left as they are.
+func (w *World) LoadKey(in *Interner, key []byte) {
+	kc := w.keysFor(in)
+	vals := *in.vals.Load()
+	var id uint32
+	for i, p := range w.Procs {
+		id, key = nextID(key)
+		if cur, ok := kc.mach[i].peek(p.M.Stamp()); ok && cur.id == id {
+			continue
+		}
+		p.M.Load(&vals[id].mach)
+		kc.mach[i].put(p.M.Stamp(), piece{id, vals[id].hash})
+	}
+	for i, c := range w.Chans {
+		id, key = nextID(key)
+		if cur, ok := kc.queue[i].peek(c.stamp); ok && cur.id == id {
+			continue
+		}
+		c.set(vals[id].msgs)
+		for j := range c.queue {
+			c.queue[j].To = c.Name
+		}
+		kc.queue[i].put(c.stamp, piece{id, vals[id].hash})
+	}
+	id, key = nextID(key)
+	v := &vals[id]
+	w.glay, w.gvals = v.glay, append(w.gvals[:0], v.gvals...)
+	if kc.glob.find(w.glay, w.gvals) < 0 {
+		kc.glob.put(w.glay, w.gvals, piece{id, v.hash})
+	}
+	if w.timing != nil {
+		id, _ = nextID(key)
+		v := &vals[id]
+		w.now, w.timers = v.now, append(w.timers[:0], v.timers...)
+	}
+}
+
+// nextID reads the piece id at the front of a key.
+func nextID(key []byte) (uint32, []byte) {
+	id, n := binary.Uvarint(key)
+	return uint32(id), key[n:]
 }
 
 // AppendCanonicalKey is AppendKey over the sections of EncodeCanonical:
@@ -381,7 +513,7 @@ func (w *World) AppendCanonicalKey(in *Interner, buf []byte) (uint64, []byte) {
 			}
 			if !ok {
 				w.encodeReplica(&grp[ri], &reps[ri], gnames, gvals)
-				p = in.intern(reps[ri].sub)
+				p = in.intern(kindReplica, reps[ri].sub, w, 0)
 				if w.timing == nil {
 					rks[ri].put(w, &grp[ri], gnames, gvals, p)
 				}
@@ -408,12 +540,12 @@ func (w *World) AppendCanonicalKey(in *Interner, buf []byte) (uint64, []byte) {
 	}
 	p, ok := kc.rglob.get(w.glay, w.gvals)
 	if !ok {
-		p = b.internTail(w.appendRestGlobals(b.buf, lay))
+		p = b.internTail(kindRestGlobals, w.appendRestGlobals(b.buf, lay), w, 0)
 		kc.rglob.put(w.glay, w.gvals, p)
 	}
 	b.add(p)
 	if w.timing != nil {
-		b.add(b.internTail(w.appendRestTimers(b.buf)))
+		b.add(b.internTail(kindRestTimers, w.appendRestTimers(b.buf), w, 0))
 	}
 	return b.sum()
 }
@@ -426,19 +558,17 @@ func pieceLess(a, b piece) bool {
 }
 
 // handOverKeys gives dst, which CloneInto has just made a copy of w,
-// the pieces w's cache holds for w's current content, filed under
+// the plain pieces w's cache holds for w's current content, filed under
 // dst's fresh stamps — without it every copy would re-encode and
-// re-intern each of its components the first time it is keyed.
+// re-intern each of its components the first time it is keyed. (The
+// canonical pieces are not handed over: no engine keys a copy
+// canonically often enough to pay for it.)
 func (w *World) handOverKeys(dst *World) {
 	src := &w.keys
 	if src.in == nil {
 		return
 	}
 	kc := dst.keysFor(src.in)
-	canon := src.res != nil && src.res == w.symRes && w.symScratch != nil
-	if canon {
-		kc.canonFor(dst)
-	}
 	for i, p := range w.Procs {
 		if pc, ok := src.mach[i].peek(p.M.Stamp()); ok {
 			kc.mach[i].put(dst.Procs[i].M.Stamp(), pc)
@@ -448,34 +578,7 @@ func (w *World) handOverKeys(dst *World) {
 		if pc, ok := src.queue[i].peek(c.stamp); ok {
 			kc.queue[i].put(dst.Chans[i].stamp, pc)
 		}
-		if canon {
-			if pc, ok := src.lqueue[i].peek(c.stamp); ok {
-				kc.lqueue[i].put(dst.Chans[i].stamp, pc)
-			}
-		}
 	}
 	// Globals are keyed by content, which the copy shares.
 	src.glob.handOver(&kc.glob, w)
-	if !canon {
-		return
-	}
-	src.rglob.handOver(&kc.rglob, w)
-	lay := w.symScratch.lays[w.glay]
-	if lay == nil || w.timing != nil {
-		return
-	}
-	k := 0
-	for _, grp := range w.symRes.groups {
-		for ri := range grp {
-			sp := lay.spans[k]
-			gnames, gvals := lay.names[sp.lo:sp.hi], w.gvals[sp.lo:sp.hi]
-			for e := range src.reps[k].ok {
-				if src.reps[k].ok[e] && src.reps[k].at[e].matches(w, &grp[ri], gnames, gvals) {
-					kc.reps[k].put(dst, &grp[ri], gnames, gvals, src.reps[k].p[e])
-					break
-				}
-			}
-			k++
-		}
-	}
 }

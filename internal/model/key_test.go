@@ -3,8 +3,12 @@ package model
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"cnetverifier/internal/fsm"
+	"cnetverifier/internal/types"
 )
 
 // TestInternerConcurrent: goroutines interning overlapping piece sets
@@ -28,7 +32,7 @@ func TestInternerConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for k := g * span / 2; k < g*span/2+span; k++ {
 					b := []byte(fmt.Sprintf("piece-%04d", k))
-					p := in.intern(b)
+					p := in.intern(kindReplica, b, nil, 0)
 					if prev, ok := got[g][string(b)]; ok && prev != p {
 						t.Errorf("goroutine %d: %s interned as %+v, then %+v", g, b, prev, p)
 						return
@@ -189,6 +193,114 @@ func TestAppendKeyAllocFree(t *testing.T) {
 		cycle() // intern the pieces, warm the caches
 		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 			t.Fatalf("timed=%v: keying allocates %.1f per node in steady state", timed, allocs)
+		}
+	}
+}
+
+// TestLoadKeyPieceKinds: an empty inbox and an empty globals section
+// both encode as 00 00, yet they are pieces of different kinds — each
+// keeps the value of its own kind. Whichever is interned first, the
+// key gives them different ids, and loading the key gives the inbox an
+// empty queue and the globals the world's own layout.
+func TestLoadKeyPieceKinds(t *testing.T) {
+	spec := &fsm.Spec{Name: "echo", Init: "IDLE", Transitions: []fsm.Transition{
+		{Name: "move", From: "IDLE", On: types.MsgUserMove, To: fsm.Same},
+	}}
+	w, err := New(Config{Procs: []ProcConfig{{Name: "ue", Spec: spec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := w.Clone()
+	if err := busy.Inject("ue", types.Message{Kind: types.MsgUserMove, From: "env"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []*World{w, busy} { // the empty inbox first, then the globals first
+		in := NewInterner()
+		first.Clone().AppendKey(in, nil)
+		_, key := w.AppendKey(in, nil)
+		var ids [3]uint32
+		rest := key
+		for i := range ids {
+			ids[i], rest = nextID(rest)
+		}
+		if len(rest) != 0 || ids[1] == ids[2] {
+			t.Fatalf("key %x: the empty inbox and the empty globals share piece %d", key, ids[1])
+		}
+		twin := busy.Clone()
+		twin.LoadKey(in, key)
+		if !bytes.Equal(twin.Encode(nil), w.Encode(nil)) || len(twin.Chans[0].queue) != 0 || twin.glay != w.glay {
+			t.Fatalf("loaded world: queue %v, layout %p (want empty, %p)", twin.Chans[0].queue, twin.glay, w.glay)
+		}
+	}
+}
+
+// TestLoadKeyConcurrent: goroutines walking their own copies of one
+// world key every state they pass under one interner and load each key
+// into a world of their own, while the others intern overlapping
+// pieces. Every loaded world encodes like the state it was keyed from.
+// Run under -race it checks that a piece's value is published before
+// its id can be seen.
+func TestLoadKeyConcurrent(t *testing.T) {
+	for _, dw := range deltaWorlds {
+		root, events := dw.make(t, 3)
+		in := NewInterner()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			w, twin := root.Clone(), root.Clone()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				var key []byte
+				for i := 0; i < 300; i++ {
+					steps := w.Steps(events)
+					if len(steps) == 0 || i%60 == 0 {
+						root.Clone().CloneInto(w) // start over: revisit the shared pieces
+						continue
+					}
+					if _, err := w.Apply(steps[rng.Intn(len(steps))]); err != nil {
+						t.Error(err)
+						return
+					}
+					_, key = w.AppendKey(in, key)
+					twin.LoadKey(in, key)
+					if !bytes.Equal(twin.Encode(nil), w.Encode(nil)) {
+						t.Errorf("%s goroutine %d step %d: the loaded world encodes differently", dw.name, g, i)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestLoadKeyAllocFree: rebuilding frontier states from their keys, as
+// the layered search does for every node, allocates nothing once the
+// loading world's storage has grown to fit them.
+func TestLoadKeyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is meaningless under -race")
+	}
+	for _, dw := range deltaWorlds {
+		in := NewInterner()
+		var keys [][]byte
+		trail := keyTrail(t, dw.name == "timed")
+		for _, w := range trail {
+			_, key := w.AppendKey(in, nil)
+			keys = append(keys, key)
+		}
+		w := trail[0].Clone()
+		var buf []byte
+		cycle := func() {
+			for _, key := range keys {
+				w.LoadKey(in, key)
+				_, buf = w.AppendKey(in, buf)
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Fatalf("%s: loading and re-keying %d states allocates %.1f", dw.name, len(keys), allocs)
 		}
 	}
 }

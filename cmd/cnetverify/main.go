@@ -6,7 +6,7 @@
 //
 //	cnetverify [-world all|s1|s2|s3|s4cs|s4ps|s6|multiue|multiue-shared] [-fixed] [-strategy dfs|bfs|walk]
 //	           [-depth N] [-states N] [-verbose] [-skip-lint]
-//	           [-por] [-sym] [-compact] [-violations] [-stats]
+//	           [-por] [-sym] [-violations] [-stats]
 //	           [-timing] [-timing-profile nas|degenerate]
 //	           [-workers N] [-parallel N] [-budget N] [-first]
 //	           [-cpuprofile FILE] [-memprofile FILE]
@@ -26,15 +26,9 @@
 // -violations run byte-compares equal against a plain run. -sym and
 // -por compose: each cluster projection canonicalizes its own replicas.
 //
-// -compact switches the visited set to hash compaction (Spin's
-// supertrace idea): only a 48-bit fingerprint is kept per state, ~8
-// bytes of table and no key arena (exact mode stores each state's key,
-// a vector of interned component ids), at the price of a bounded
-// probability that two distinct states merge. The per-world
-// union bound on that probability is reported by -stats as "omission".
-// Use it to push depth/state bounds on the multi-UE worlds past what
-// exact screening can hold in memory; exact mode remains the default
-// and the only mode whose violation sets are certificates.
+// The visited set is exact: it stores each state's key, a vector of
+// interned component ids, and resolves every fingerprint match against
+// it, so a clean run means no violation within the bounds.
 //
 // -timing enables discrete virtual time: the scenario's periodic env
 // events are replaced by first-class timers with [earliest, latest]
@@ -47,8 +41,7 @@
 // always-fireable windows instead, which is provably equivalent to
 // untimed screening: the ci.sh timing gate byte-compares its
 // -violations output against untimed runs across every standard world,
-// reduction and worker count. Composes with -por, -sym, -compact and
-// -workers.
+// reduction and worker count. Composes with -por, -sym and -workers.
 //
 // -stats prints, per world, the visited-table diagnostics (slot
 // occupancy, growth count, probe-length histogram, the bytes of state
@@ -76,8 +69,10 @@
 // standalone analyzer).
 //
 // Exit status is 2 when a property violation is found in a fixed world
-// (the §8 solutions must be clean), 1 on a usage error (a stray
-// argument, an unknown world or strategy) or a failed run, 0 otherwise.
+// (the §8 solutions must be clean) or on an unknown flag, 1 on a usage
+// error (a stray argument, an unknown world or strategy, a negative
+// -depth, -states or -budget, a -walks, -workers or -parallel below 1)
+// or a failed run, 0 otherwise.
 package main
 
 import (
@@ -111,7 +106,6 @@ func main() {
 		por      = flag.Bool("por", false, "enable partial-order reduction (cluster decomposition over the static effect analysis; dfs/bfs only)")
 		sym      = flag.Bool("sym", false, "enable symmetry reduction (canonical replica-permutation quotient; dfs/bfs only)")
 		onlyViol = flag.Bool("violations", false, "print only the canonical violation set (sorted property/description lines), for byte-comparing runs")
-		compact  = flag.Bool("compact", false, "hash-compaction visited set (~8 B/state, no key arena); the per-world omission-probability bound is reported with -stats")
 		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, key arena bytes, interned components), the widest frontier layer and the process memory high-water mark")
 		timing   = flag.Bool("timing", false, "discrete virtual time: model periodic protocol timers as first-class [earliest, latest] expiry windows (see -timing-profile)")
 		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening — the ci.sh differential gate)")
@@ -131,6 +125,16 @@ func main() {
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "cnetverify: unexpected argument %q (choose the world with -world)\n", flag.Arg(0))
 		os.Exit(1)
+	}
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{{"depth", *depth, 0}, {"states", *states, 0}, {"budget", *budget, 0},
+		{"walks", *walks, 1}, {"workers", *workers, 1}, {"parallel", *parallel, 1}} {
+		if f.v < f.least {
+			fmt.Fprintf(os.Stderr, "cnetverify: -%s must be at least %d, got %d\n", f.name, f.least, f.v)
+			os.Exit(1)
+		}
 	}
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
@@ -202,7 +206,6 @@ func main() {
 		}
 		opt.POR = *por
 		opt.Symmetry = *sym
-		opt.Compact = *compact
 		return opt
 	}
 	results, err := core.ScreenWorlds(scoped, perWorld, core.CampaignOptions{
@@ -240,11 +243,7 @@ func main() {
 	if *stats {
 		for _, r := range results {
 			f, _ := core.FindingByID(r.Finding)
-			fmt.Printf("%s %s", f.ID, r.Result.Visited)
-			if r.Result.Omission > 0 {
-				fmt.Printf(", omission ≤ %.3g", r.Result.Omission)
-			}
-			fmt.Println()
+			fmt.Printf("%s %s\n", f.ID, r.Result.Visited)
 			if r.Result.MaxFrontier > 0 {
 				fmt.Printf("%s frontier: widest layer %d states\n", f.ID, r.Result.MaxFrontier)
 			}

@@ -72,3 +72,34 @@ func TestStatsFrontier(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, stderr, out)
 	}
 }
+
+// TestOutOfRangeCounts: a number the world default would otherwise
+// silently replace is refused before anything is screened.
+func TestOutOfRangeCounts(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-depth", "-3"}, "-depth must be at least 0, got -3"},
+		{[]string{"-states", "-5"}, "-states must be at least 0, got -5"},
+		{[]string{"-budget", "-1"}, "-budget must be at least 0, got -1"},
+		{[]string{"-workers", "0"}, "-workers must be at least 1, got 0"},
+		{[]string{"-parallel", "0"}, "-parallel must be at least 1, got 0"},
+		{[]string{"-walks", "0", "-strategy", "walk"}, "-walks must be at least 1, got 0"},
+	} {
+		args := append([]string{"-world", "s1"}, c.args...)
+		code, out, stderr := cnetverify(t, args...)
+		if code != 1 || out != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 with %q", args, code, out, stderr, c.want)
+		}
+	}
+}
+
+// TestRetiredFlagRefused: the visited set has one mode, the exact one,
+// and the flag that selected hash compaction is unknown.
+func TestRetiredFlagRefused(t *testing.T) {
+	code, out, stderr := cnetverify(t, "-world", "s1", "-compact")
+	if code != 2 || out != "" || !strings.Contains(stderr, "flag provided but not defined: -compact") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want flag's exit 2", code, out, stderr)
+	}
+}

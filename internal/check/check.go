@@ -113,21 +113,9 @@ type Options struct {
 	// SkipLint so every other rule still gates.
 	LintSuppress map[string][]string
 	// Paranoid fails on any fingerprint collision in the visited table
-	// instead of resolving it (exact mode) — used by tests to validate
-	// the hashing scheme. Incompatible with Compact.
+	// instead of resolving it against the stored key — used by tests to
+	// validate the hashing scheme.
 	Paranoid bool
-	// Compact switches the visited table to hash-compaction mode
-	// (Spin's supertrace idea): states are recorded by 48-bit
-	// fingerprint only, without the arena of collapsed keys (interned
-	// component ids) that exact mode uses to resolve fingerprint
-	// collisions, cutting the visited-set footprint to ~8 bytes of table
-	// per state. Two distinct states whose fingerprints collide are then
-	// silently merged — the unexplored subtree is an omission — so
-	// results are sound upper bounds with the omission-probability bound
-	// reported in Result.Omission. Use it for depth/state bounds that
-	// exhaust memory in exact mode; composes with POR, Symmetry and
-	// Workers.
-	Compact bool
 	// Walks and Seed configure RandomWalk: number of schedules sampled
 	// and the RNG seed (defaults 1000 and 1). Each walk derives its own
 	// RNG stream from (Seed, walk index), so the sampled schedule set —
@@ -209,7 +197,7 @@ type Options struct {
 // makes Options non-comparable, so == is not available for this.
 func (o Options) IsZero() bool {
 	return o.Strategy == DFS && o.MaxDepth == 0 && o.MaxStates == 0 &&
-		!o.StopAtFirst && !o.Paranoid && !o.Compact && !o.SkipLint && o.LintSuppress == nil &&
+		!o.StopAtFirst && !o.Paranoid && !o.SkipLint && o.LintSuppress == nil &&
 		o.Walks == 0 && o.Seed == 0 && !o.POR && !o.Symmetry && !o.Timing &&
 		o.Workers == 0 && o.Budget == nil && o.Cancel == nil
 }
@@ -250,8 +238,7 @@ func (v Violation) String() string {
 
 // Result summarizes a checking run.
 type Result struct {
-	// States counts distinct states visited (by key; by fingerprint
-	// under Compact).
+	// States counts distinct states visited (by key).
 	States int
 	// Transitions counts steps applied. The layered engine (BFS, or
 	// Workers > 1) expands every state once, so the count is the same
@@ -296,12 +283,6 @@ type Result struct {
 	// counts a re-expanded state's losses again.
 	Misrouted int
 	Dropped   int
-	// Omission is the hash-compaction soundness bound (Options.
-	// Compact): an upper bound on the probability that at least one
-	// pair of distinct states shared a fingerprint and was merged,
-	// omitting a subtree from the search. Always 0 in exact mode. POR
-	// runs report the sum of their cluster runs' bounds.
-	Omission float64
 	// Visited describes the visited table after the run — occupancy,
 	// probe-length histogram, key bytes, interned components (see
 	// VisitedStats). Slot placement depends on claim interleaving, so
@@ -341,9 +322,6 @@ type violKey struct {
 // returns the checking result. The input world is not mutated.
 func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	if opt.Compact && opt.Paranoid {
-		return nil, fmt.Errorf("check: Options.Compact and Options.Paranoid are incompatible: compaction drops the encodings paranoid mode verifies against")
-	}
 	if w.TimingEnabled() && !opt.Timing {
 		return nil, fmt.Errorf("check: world has virtual-time timers; set Options.Timing to enumerate timed schedules")
 	}

@@ -168,6 +168,9 @@ func TestStateDeduplication(t *testing.T) {
 	if res.Transitions < res.States {
 		t.Fatalf("transitions (%d) < states (%d)?", res.Transitions, res.States)
 	}
+	if res.Visited == nil || res.Visited.ArenaBytes == 0 {
+		t.Fatal("run carries no visited-table arena stats")
+	}
 }
 
 func TestParanoidMode(t *testing.T) {

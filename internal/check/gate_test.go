@@ -1,6 +1,7 @@
 package check
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,17 +64,33 @@ func TestPrescreenSuppression(t *testing.T) {
 	}
 }
 
+// TestOptionsIsZero sets each Options field non-zero in turn, by
+// reflection, so a field added to Options but not to IsZero fails here
+// instead of making core.Screen silently swap in the world's defaults.
 func TestOptionsIsZero(t *testing.T) {
 	if !(Options{}).IsZero() {
 		t.Errorf("zero Options not IsZero")
 	}
-	for _, o := range []Options{
-		{MaxDepth: 1},
-		{SkipLint: true},
-		{LintSuppress: map[string][]string{}},
-	} {
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o Options
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch {
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(1)
+		case f.CanUint():
+			f.SetUint(1)
+		case f.Kind() == reflect.Map:
+			f.Set(reflect.MakeMap(f.Type()))
+		case f.Kind() == reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("Options.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
+		}
 		if o.IsZero() {
-			t.Errorf("%+v reported IsZero", o)
+			t.Errorf("Options with only %s set reported IsZero", typ.Field(i).Name)
 		}
 	}
 }

@@ -278,7 +278,6 @@ func (e *engine) finish(workers []*worker) (*Result, error) {
 		Covered:    make(map[string]int),
 		Violations: e.violations,
 		States:     e.visited.size(),
-		Omission:   e.visited.omission(),
 		Visited:    e.visited.stats(),
 	}
 	for _, wk := range workers {

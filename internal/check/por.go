@@ -57,12 +57,8 @@ func runPOR(w *model.World, props []Property, sc Scenario, opt Options) (*Result
 		merged.MaxDepth = max(merged.MaxDepth, res.MaxDepth)
 		merged.MaxFrontier = max(merged.MaxFrontier, res.MaxFrontier)
 		merged.Truncated = merged.Truncated || res.Truncated
-		// Each cluster run owns a visited table; the compaction
-		// omission bound sums (union bound over clusters) and the
-		// table diagnostics fold together.
-		if merged.Omission += res.Omission; merged.Omission > 1 {
-			merged.Omission = 1
-		}
+		// Each cluster run owns a visited table; the table
+		// diagnostics fold together.
 		if res.Visited != nil {
 			if merged.Visited == nil {
 				merged.Visited = &VisitedStats{}

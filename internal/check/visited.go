@@ -83,8 +83,8 @@ func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 // inbox, globals, timers — under the set's one model.Interner) and the
 // shallowest depth at which it was discovered. The fingerprint is the
 // key's content hash, a fold over the pieces' hash64 digests: unseeded
-// and independent of interning order, so fingerprints and with them
-// compact-mode omissions repeat run to run and at any worker count.
+// and independent of interning order, so fingerprints, and with them
+// probe order and -stats, repeat run to run and at any worker count.
 //
 // Min-depth tracking is what makes bounded exploration deterministic:
 // a state first reached through a long path is re-expanded if a
@@ -96,14 +96,12 @@ func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 // before starting the next, so its first visit is already the
 // shallowest and it never re-expands; runDFS does.
 //
-// In exact mode (the default) the table stores every state's key in an
-// append-only arena and resolves fingerprint matches against it, so
-// distinct states are never merged: under one interner equal keys mean
-// equal encodings. Paranoid mode turns a fingerprint collision into an
-// error instead of probing past it (the hashing-scheme validation used
-// by FuzzStateHash). Compact mode (Options.Compact) keeps fingerprints
-// only — Spin's hash compaction — and the engines surface the omission
-// bound in Result.Omission.
+// The table stores every state's key in an append-only arena and
+// resolves fingerprint matches against it, so distinct states are
+// never merged: under one interner equal keys mean equal encodings.
+// Paranoid mode turns a fingerprint collision into an error instead of
+// probing past it (the hashing-scheme validation used by
+// FuzzStateHash).
 type visitedSet struct {
 	// canon keys states by the symmetry-canonical components
 	// (model.World.AppendCanonicalKey) instead of the plain ones —
@@ -118,17 +116,12 @@ func newVisitedSet(opt Options) *visitedSet {
 	return &visitedSet{
 		canon: opt.Symmetry && (opt.Strategy == DFS || opt.Strategy == BFS),
 		in:    model.NewInterner(),
-		table: newVisitedTable(opt.Compact && !opt.Paranoid, opt.Paranoid,
-			int64(opt.MaxStates), opt.Budget, vtMinSlots),
+		table: newVisitedTable(opt.Paranoid, int64(opt.MaxStates), opt.Budget, vtMinSlots),
 	}
 }
 
 // size returns the number of distinct states recorded.
 func (v *visitedSet) size() int { return v.table.size() }
-
-// omission returns the hash-compaction omission bound (0 in exact
-// mode).
-func (v *visitedSet) omission() float64 { return v.table.omission() }
 
 // stats scans the final table; call after the run has quiesced.
 func (v *visitedSet) stats() *VisitedStats {

@@ -27,21 +27,15 @@ import (
 // (min-depth re-expansion) or it seals — never back. There are no
 // deletions, which is what makes unsynchronized probing sound.
 //
-// Exactness backstop. In exact mode (the default) every claimed slot
-// publishes, in a parallel refs array, a packed reference into an
-// append-only byte arena holding the state's collapsed key: the ids of
-// its interned components (model.World.AppendKey), a few bytes where
-// the full encoding took hundreds. A fingerprint match is confirmed
-// against the stored key before the slot is treated as "this state"; a
-// genuine fingerprint collision keeps probing and the colliding state
-// claims its own slot. Visited-set answers are therefore exact — two
+// Exactness backstop. Every claimed slot publishes, in a parallel refs
+// array, a packed reference into an append-only byte arena holding the
+// state's collapsed key: the ids of its interned components
+// (model.World.AppendKey), a few bytes where the full encoding took
+// hundreds. A fingerprint match is confirmed against the stored key
+// before the slot is treated as "this state"; a genuine fingerprint
+// collision keeps probing and the colliding state claims its own slot. Visited-set answers are therefore exact — two
 // distinct states are never merged — while the per-state footprint
 // stays a flat 16 bytes of table plus the key bytes.
-//
-// Compact mode (Options.Compact) drops the refs array and the arena
-// entirely — Spin's hash compaction: a fingerprint match *is* the
-// state, ~8 bytes of table per state, and the run reports the
-// omission-probability upper bound in Result.Omission.
 //
 // Growth. When a table passes 3/4 occupancy any inserter allocates the
 // doubled successor and publishes it with a CAS on t.next. Migration
@@ -80,9 +74,6 @@ const (
 	vtMinSlots = 1 << 10
 	// vtMigChunk is the number of slots one helper migrates per claim.
 	vtMigChunk = 256
-	// vtFPBits is the fingerprint width; compact mode merges distinct
-	// states only when their top vtFPBits hash bits collide.
-	vtFPBits = 64 - vtDepthBits
 )
 
 // vtFP extracts the slot fingerprint from a state hash.
@@ -102,7 +93,7 @@ func vtIsSealed(v uint64) bool           { return v&vtDepthMask == vtDepthMask }
 // vtable is one generation of the slot array.
 type vtable struct {
 	slots []atomic.Uint64
-	refs  []atomic.Uint64 // arena references; nil in compact mode
+	refs  []atomic.Uint64 // arena references, one per slot
 	shift uint            // home(fp) = fp * phi >> shift
 
 	next    atomic.Pointer[vtable]
@@ -111,15 +102,12 @@ type vtable struct {
 	used    atomic.Int64 // claimed slots in this generation
 }
 
-func newVTable(slots int, compact bool) *vtable {
-	t := &vtable{
+func newVTable(slots int) *vtable {
+	return &vtable{
 		slots: make([]atomic.Uint64, slots),
+		refs:  make([]atomic.Uint64, slots),
 		shift: uint(64 - popShift(slots)),
 	}
-	if !compact {
-		t.refs = make([]atomic.Uint64, slots)
-	}
-	return t
 }
 
 // popShift returns log2 of the (power-of-two) slot count.
@@ -146,52 +134,31 @@ func (t *vtable) chunks() int64 {
 // generation, the key arena, and the state accounting shared with
 // MaxStates and the campaign Budget.
 type visitedTable struct {
-	compact  bool
 	paranoid bool
 	limit    int64
 	budget   *Budget
 	states   atomic.Int64
 	grows    atomic.Int64
 	cur      atomic.Pointer[vtable]
-	arena    *encArena // nil in compact mode
+	arena    *encArena
 }
 
-func newVisitedTable(compact, paranoid bool, limit int64, budget *Budget, slots int) *visitedTable {
-	v := &visitedTable{compact: compact, paranoid: paranoid, limit: limit, budget: budget}
+func newVisitedTable(paranoid bool, limit int64, budget *Budget, slots int) *visitedTable {
+	v := &visitedTable{paranoid: paranoid, limit: limit, budget: budget, arena: newEncArena()}
 	if slots < 4 {
 		slots = 4
 	}
-	if !compact {
-		v.arena = newEncArena()
-	}
-	v.cur.Store(newVTable(slots, compact))
+	v.cur.Store(newVTable(slots))
 	return v
 }
 
 func (v *visitedTable) size() int { return int(v.states.Load()) }
 
-// omission returns the SPIN-style upper bound on the probability that
-// compact mode merged at least one pair of distinct states: a union
-// bound of k·(k-1)/2 pairwise fingerprint collisions at 2^-48 each.
-// Exact mode resolves every collision byte-for-byte, so its bound is 0.
-func (v *visitedTable) omission() float64 {
-	if !v.compact {
-		return 0
-	}
-	k := float64(v.states.Load())
-	p := k * (k - 1) / 2 / float64(uint64(1)<<vtFPBits)
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// mark records the state with fingerprint hash h and key enc (ignored
-// in compact mode) discovered at the given depth. It returns the same
-// markResult triple as the historical sharded-map store: isNew for a
-// first discovery, expand for first discovery or strictly shallower
-// rediscovery, capped when MaxStates or the shared Budget refused the
-// state.
+// mark records the state with fingerprint hash h and key enc
+// discovered at the given depth. It returns the same markResult triple
+// as the historical sharded-map store: isNew for a first discovery,
+// expand for first discovery or strictly shallower rediscovery, capped
+// when MaxStates or the shared Budget refused the state.
 func (v *visitedTable) mark(h uint64, enc []byte, depth int) (markResult, error) {
 	fp := vtFP(h)
 	if depth > vtDepthMax {
@@ -240,9 +207,7 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 				v.budget.put()
 				goto reread
 			}
-			if t.refs != nil {
-				t.refs[idx].Store(v.arena.store(fp, enc))
-			}
+			t.refs[idx].Store(v.arena.store(fp, enc))
 			if t.used.Add(1)*4 > int64(len(t.slots))*3 {
 				v.ensureNext(t)
 				v.helpMigrate(t)
@@ -258,19 +223,17 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 			// Some other entry (live or sealed); keep probing.
 
 		default:
-			// Fingerprint match. Exact mode confirms identity against
-			// the stored key — refs stay readable after sealing —
-			// and treats a mismatch as a collision: paranoid errors,
-			// otherwise the colliding state keeps probing for its own
-			// slot (the exactness backstop).
-			if t.refs != nil {
-				if !v.arena.equal(v.waitRef(t, idx), enc) {
-					if v.paranoid {
-						return markResult{}, false, fmt.Errorf(
-							"check: hash collision: fingerprint %#x shared by two distinct states (%d-byte key)", fp, len(enc))
-					}
-					break
+			// Fingerprint match. Confirm identity against the stored
+			// key — refs stay readable after sealing — and treat a
+			// mismatch as a collision: paranoid errors, otherwise the
+			// colliding state keeps probing for its own slot (the
+			// exactness backstop).
+			if !v.arena.equal(v.waitRef(t, idx), enc) {
+				if v.paranoid {
+					return markResult{}, false, fmt.Errorf(
+						"check: hash collision: fingerprint %#x shared by two distinct states (%d-byte key)", fp, len(enc))
 				}
+				break
 			}
 			if vtIsSealed(val) {
 				// Our entry migrated; its depth lives in the successor.
@@ -305,7 +268,7 @@ func (v *visitedTable) ensureNext(t *vtable) *vtable {
 	if n := t.next.Load(); n != nil {
 		return n
 	}
-	n := newVTable(len(t.slots)*2, v.compact)
+	n := newVTable(len(t.slots) * 2)
 	if t.next.CompareAndSwap(nil, n) {
 		v.grows.Add(1)
 		return n
@@ -376,11 +339,7 @@ func (v *visitedTable) migrateSlot(t, next *vtable, i int) {
 			continue
 		}
 		fp := vtSlotFP(val)
-		var ref uint64
-		if t.refs != nil {
-			ref = v.waitRef(t, uint64(i))
-		}
-		v.mergeIn(next, fp, ref, vtSlotDepth(val))
+		v.mergeIn(next, fp, v.waitRef(t, uint64(i)), vtSlotDepth(val))
 		if slot.CompareAndSwap(val, fp<<vtDepthBits|uint64(vtDepthMask)) {
 			return
 		}
@@ -414,9 +373,7 @@ func (v *visitedTable) mergeInOne(t *vtable, fp, ref uint64, depth int) (moved b
 			if !slot.CompareAndSwap(0, vtPack(fp, depth)) {
 				goto reread
 			}
-			if t.refs != nil {
-				t.refs[idx].Store(ref)
-			}
+			t.refs[idx].Store(ref)
 			if t.used.Add(1)*4 > int64(len(t.slots))*3 {
 				v.ensureNext(t)
 			}
@@ -426,7 +383,7 @@ func (v *visitedTable) mergeInOne(t *vtable, fp, ref uint64, depth int) (moved b
 		case vtSlotFP(val) != fp:
 			// keep probing
 		default:
-			if t.refs != nil && !v.arena.equalRefs(v.waitRef(t, idx), ref) {
+			if !v.arena.equalRefs(v.waitRef(t, idx), ref) {
 				break // fingerprint collision with a different state
 			}
 			if vtIsSealed(val) {
@@ -478,32 +435,24 @@ type VisitedStats struct {
 	// ProbeHist buckets entries by probe displacement 0..7, with an
 	// 8-and-over tail bucket.
 	ProbeHist [9]int
-	// ArenaBytes is the total key bytes retained by the exactness arena
-	// (0 in compact mode).
+	// ArenaBytes is the total key bytes retained by the exactness arena.
 	ArenaBytes int64
 	// Components is the number of distinct state components (machine
 	// contents, inbox contents, globals vectors, timer windows, replica
 	// sub-states) interned to build the keys; each is stored once.
 	Components int
-	// Compact reports hash-compaction mode (no arena, fingerprints
-	// only).
-	Compact bool
 }
 
 func (s *VisitedStats) String() string {
 	if s == nil {
 		return "visited: (no stats)"
 	}
-	mode := "exact"
-	if s.Compact {
-		mode = "compact"
-	}
 	occ := 0.0
 	if s.Slots > 0 {
 		occ = float64(s.Live) / float64(s.Slots)
 	}
-	out := fmt.Sprintf("visited[%s]: %d/%d slots (%.1f%% occupancy), %d grows, arena %d B of keys, %d components, max probe %d\n",
-		mode, s.Live, s.Slots, occ*100, s.Grows, s.ArenaBytes, s.Components, s.MaxProbe)
+	out := fmt.Sprintf("visited: %d/%d slots (%.1f%% occupancy), %d grows, arena %d B of keys, %d components, max probe %d\n",
+		s.Live, s.Slots, occ*100, s.Grows, s.ArenaBytes, s.Components, s.MaxProbe)
 	out += "probe histogram:"
 	for i, n := range s.ProbeHist {
 		label := fmt.Sprintf("%d", i)
@@ -532,7 +481,6 @@ func (s *VisitedStats) merge(o *VisitedStats) {
 	}
 	s.ArenaBytes += o.ArenaBytes
 	s.Components += o.Components
-	s.Compact = s.Compact || o.Compact
 }
 
 // stats finishes any in-flight growth and scans the final table. Call
@@ -541,12 +489,9 @@ func (v *visitedTable) stats() *VisitedStats {
 	v.drainMigration()
 	t := v.cur.Load()
 	s := &VisitedStats{
-		Slots:   len(t.slots),
-		Grows:   int(v.grows.Load()),
-		Compact: v.compact,
-	}
-	if v.arena != nil {
-		s.ArenaBytes = v.arena.bytes.Load()
+		Slots:      len(t.slots),
+		Grows:      int(v.grows.Load()),
+		ArenaBytes: v.arena.bytes.Load(),
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := range t.slots {

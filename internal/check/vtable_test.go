@@ -20,16 +20,15 @@ type vtOp struct {
 
 // vtKey derives a (hash, encoding) pair for a reference key. Keys pair
 // up on fingerprints — 2k and 2k+1 share fp k+1 with distinct low hash
-// bits and distinct encodings — so every exact-mode sequence exercises
-// the collision backstop and every compact-mode sequence exercises
-// fingerprint merging.
+// bits and distinct encodings — so every sequence exercises the
+// collision backstop.
 func vtKey(k uint8) (h uint64, enc []byte) {
 	fp := uint64(k/2 + 1)
 	return fp<<vtDepthBits | uint64(k), []byte(fmt.Sprintf("state-encoding-%03d", k))
 }
 
 // vtRefMark is the reference model: a plain min-depth map keyed by the
-// state key (exact mode) or the fingerprint (compact mode).
+// state key.
 func vtRefMark(ref map[string]int, key string, depth int) markResult {
 	prior, ok := ref[key]
 	if !ok {
@@ -44,47 +43,36 @@ func vtRefMark(ref map[string]int, key string, depth int) markResult {
 }
 
 // TestVTableMatchesReferenceMap checks the fingerprint table against
-// the reference map over random operation sequences, in both exact and
-// compact mode, via testing/quick.
+// the reference map over random operation sequences, via testing/quick.
 func TestVTableMatchesReferenceMap(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		name := "exact"
-		if compact {
-			name = "compact"
-		}
-		t.Run(name, func(t *testing.T) {
-			prop := func(ops []vtOp) bool {
-				v := newVisitedTable(compact, false, 0, nil, 4)
-				ref := make(map[string]int)
-				for _, op := range ops {
-					h, enc := vtKey(op.Key)
-					refKey := string(enc)
-					if compact {
-						refKey = fmt.Sprintf("fp:%d", vtFP(h))
-					}
-					depth := int(op.Depth)
-					got, err := v.mark(h, enc, depth)
-					if err != nil {
-						t.Logf("mark error: %v", err)
-						return false
-					}
-					want := vtRefMark(ref, refKey, depth)
-					if got != want {
-						t.Logf("key %d depth %d: got %+v want %+v", op.Key, depth, got, want)
-						return false
-					}
-				}
-				if v.size() != len(ref) {
-					t.Logf("size %d, reference %d", v.size(), len(ref))
+	t.Run("exact", func(t *testing.T) {
+		prop := func(ops []vtOp) bool {
+			v := newVisitedTable(false, 0, nil, 4)
+			ref := make(map[string]int)
+			for _, op := range ops {
+				h, enc := vtKey(op.Key)
+				depth := int(op.Depth)
+				got, err := v.mark(h, enc, depth)
+				if err != nil {
+					t.Logf("mark error: %v", err)
 					return false
 				}
-				return true
+				want := vtRefMark(ref, string(enc), depth)
+				if got != want {
+					t.Logf("key %d depth %d: got %+v want %+v", op.Key, depth, got, want)
+					return false
+				}
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-				t.Error(err)
+			if v.size() != len(ref) {
+				t.Logf("size %d, reference %d", v.size(), len(ref))
+				return false
 			}
-		})
-	}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestVTableGrowthKeepsEntries inserts far more states than the initial
@@ -92,7 +80,7 @@ func TestVTableMatchesReferenceMap(t *testing.T) {
 // then verifies every entry survived migration with its minimal depth:
 // re-marking at the recorded min is a no-op, one shallower expands.
 func TestVTableGrowthKeepsEntries(t *testing.T) {
-	v := newVisitedTable(false, false, 0, nil, 4)
+	v := newVisitedTable(false, 0, nil, 4)
 	const n = 5000
 	rng := rand.New(rand.NewSource(7))
 	min := make(map[int]int, n)
@@ -149,7 +137,7 @@ func TestVTableRaceHammer(t *testing.T) {
 		workers = 8
 		keys    = 4000
 	)
-	v := newVisitedTable(false, false, 0, nil, 4)
+	v := newVisitedTable(false, 0, nil, 4)
 	depth := func(k, g int) int { return (k*7+g*13)%97 + 2 }
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -200,7 +188,7 @@ func TestVTableExactCollisionBackstop(t *testing.T) {
 	h := uint64(42) << vtDepthBits
 	a, b := []byte("state-A"), []byte("state-B")
 
-	v := newVisitedTable(false, false, 0, nil, 16)
+	v := newVisitedTable(false, 0, nil, 16)
 	if m, err := v.mark(h, a, 3); err != nil || !m.isNew {
 		t.Fatalf("first state: %+v, %v", m, err)
 	}
@@ -214,7 +202,7 @@ func TestVTableExactCollisionBackstop(t *testing.T) {
 		t.Fatalf("size %d, want 2 distinct states", v.size())
 	}
 
-	p := newVisitedTable(false, true, 0, nil, 16)
+	p := newVisitedTable(true, 0, nil, 16)
 	if _, err := p.mark(h, a, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -225,48 +213,10 @@ func TestVTableExactCollisionBackstop(t *testing.T) {
 	}
 }
 
-// TestVTableCompactSemantics pins hash compaction: a fingerprint match
-// IS the state (distinct encodings merge), there is no arena, and the
-// omission bound is the documented pairwise union bound.
-func TestVTableCompactSemantics(t *testing.T) {
-	v := newVisitedTable(true, false, 0, nil, 16)
-	h := uint64(42) << vtDepthBits
-	if m, err := v.mark(h, []byte("state-A"), 3); err != nil || !m.isNew {
-		t.Fatalf("first state: %+v, %v", m, err)
-	}
-	if m, err := v.mark(h, []byte("state-B"), 3); err != nil || m.isNew || m.expand {
-		t.Fatalf("compact mode split a fingerprint match: %+v, %v", m, err)
-	}
-	if m, err := v.mark(h, []byte("state-B"), 1); err != nil || m.isNew || !m.expand {
-		t.Fatalf("compact min-depth improvement: %+v, %v", m, err)
-	}
-	for k := 1; k < 10; k++ {
-		if _, err := v.mark(uint64(100+k)<<vtDepthBits, nil, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v.size() != 10 {
-		t.Fatalf("size %d, want 10 fingerprints", v.size())
-	}
-	want := 10.0 * 9 / 2 / float64(uint64(1)<<vtFPBits)
-	if got := v.omission(); got != want {
-		t.Fatalf("omission = %g, want %g", got, want)
-	}
-	s := v.stats()
-	if !s.Compact || s.ArenaBytes != 0 {
-		t.Fatalf("compact stats: %+v", s)
-	}
-
-	exact := newVisitedTable(false, false, 0, nil, 16)
-	if got := exact.omission(); got != 0 {
-		t.Fatalf("exact omission = %g, want 0", got)
-	}
-}
-
 // TestVTableCaps pins MaxStates and Budget enforcement: refusals are
 // capped, do not consume tokens, and leave the table at the limit.
 func TestVTableCaps(t *testing.T) {
-	v := newVisitedTable(false, false, 3, nil, 16)
+	v := newVisitedTable(false, 3, nil, 16)
 	for k := 0; k < 3; k++ {
 		if m, _ := v.mark(uint64(k+1)<<vtDepthBits, []byte{byte(k)}, 1); !m.isNew {
 			t.Fatalf("state %d refused below the cap: %+v", k, m)
@@ -284,7 +234,7 @@ func TestVTableCaps(t *testing.T) {
 	}
 
 	b := NewBudget(2)
-	vb := newVisitedTable(false, false, 0, b, 16)
+	vb := newVisitedTable(false, 0, b, 16)
 	for k := 0; k < 2; k++ {
 		if m, _ := vb.mark(uint64(k+1)<<vtDepthBits, []byte{byte(k)}, 1); !m.isNew {
 			t.Fatalf("state %d refused with budget left: %+v", k, m)
@@ -295,54 +245,5 @@ func TestVTableCaps(t *testing.T) {
 	}
 	if b.Remaining() != 0 {
 		t.Fatalf("budget remaining %d, want 0", b.Remaining())
-	}
-}
-
-// TestRunRejectsCompactParanoid pins the Options contract: compaction
-// discards the encodings paranoid mode verifies against.
-func TestRunRejectsCompactParanoid(t *testing.T) {
-	w := counterWorld(t)
-	_, err := Run(w, []Property{limitProp{limit: 3}}, moveScenario(),
-		Options{MaxDepth: 5, Compact: true, Paranoid: true})
-	if err == nil {
-		t.Fatal("Run accepted Compact+Paranoid")
-	}
-}
-
-// TestCompactRunMatchesExact runs the same world in exact and compact
-// mode: at these state counts a real fingerprint collision is
-// (provably, via the omission bound) absent, so states, transitions and
-// violations must agree, and only compact mode reports a nonzero bound.
-func TestCompactRunMatchesExact(t *testing.T) {
-	w := counterWorld(t)
-	props := []Property{limitProp{limit: 3}}
-	opt := Options{MaxDepth: 8}
-	exact, err := Run(w, props, moveScenario(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Compact = true
-	compact, err := Run(counterWorld(t), props, moveScenario(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.States != compact.States || exact.Transitions != compact.Transitions {
-		t.Fatalf("exact %d states/%d transitions, compact %d/%d",
-			exact.States, exact.Transitions, compact.States, compact.Transitions)
-	}
-	if len(exact.Violations) != len(compact.Violations) {
-		t.Fatalf("violations: exact %d, compact %d", len(exact.Violations), len(compact.Violations))
-	}
-	if exact.Omission != 0 {
-		t.Fatalf("exact mode reported omission %g", exact.Omission)
-	}
-	if compact.Omission <= 0 || compact.Omission >= 1e-6 {
-		t.Fatalf("compact omission bound %g out of expected range", compact.Omission)
-	}
-	if exact.Visited == nil || exact.Visited.ArenaBytes == 0 {
-		t.Fatal("exact run carries no arena stats")
-	}
-	if compact.Visited == nil || !compact.Visited.Compact {
-		t.Fatal("compact run not flagged in stats")
 	}
 }

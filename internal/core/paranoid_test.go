@@ -6,8 +6,8 @@ import "testing"
 // shared-core 3-UE world under Symmetry, with Options.Paranoid: two
 // distinct states sharing a visited-table fingerprint is an error
 // there, so a clean run says model.hash64 spreads these state spaces
-// without a single collision (exact mode would have resolved one
-// silently; compact mode would have lost a state).
+// without a single collision (a normal run would have resolved one
+// silently by probing past it).
 func TestNoFingerprintCollisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("screens every standard world")

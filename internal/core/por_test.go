@@ -89,6 +89,11 @@ func TestPORMultiUEReduction(t *testing.T) {
 		t.Errorf("POR reduction below 5x: por=%d states, plain=%d states (%.1fx)",
 			por.States, plain.States, float64(plain.States)/float64(por.States))
 	}
+	// Each cluster run keeps its own visited table; the merged stats
+	// still describe exact keys.
+	if v := por.Visited; v == nil || v.ArenaBytes == 0 || v.Components == 0 {
+		t.Errorf("merged POR visited stats carry no keys: %+v", v)
+	}
 	t.Logf("3-UE states: plain=%d por=%d (%.1fx), transitions: plain=%d por=%d",
 		plain.States, por.States, float64(plain.States)/float64(por.States),
 		plain.Transitions, por.Transitions)

@@ -18,10 +18,6 @@ type PerfRun struct {
 	Workers      int     `json:"workers"`
 	POR          bool    `json:"por,omitempty"`
 	Sym          bool    `json:"sym,omitempty"`
-	Compact      bool    `json:"compact,omitempty"`
-	MaxStates    int     `json:"max_states,omitempty"`
-	Truncated    bool    `json:"truncated,omitempty"`
-	Omission     float64 `json:"omission,omitempty"`
 	States       int     `json:"states"`
 	NsPerOp      int64   `json:"ns_per_op"`
 	StatesPerSec float64 `json:"states_per_sec"`
@@ -216,19 +212,12 @@ func RenderPerfTable(runs []PerfRun) string {
 		if r.Sym {
 			parts = append(parts, "sym")
 		}
-		if r.Compact {
-			parts = append(parts, "compact")
-		}
 		flags := strings.Join(parts, "+")
 		if flags == "" {
 			flags = "-"
 		}
-		states := fmt.Sprintf("%d", r.States)
-		if r.Truncated {
-			states += "*"
-		}
-		fmt.Fprintf(&b, "%-15s %8d %14s %9s %14.0f %12d %12d\n",
-			r.World, r.Workers, flags, states, r.StatesPerSec, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Fprintf(&b, "%-15s %8d %14s %9d %14.0f %12d %12d\n",
+			r.World, r.Workers, flags, r.States, r.StatesPerSec, r.AllocsPerOp, r.BytesPerOp)
 	}
 	return b.String()
 }

@@ -24,8 +24,8 @@ import (
 
 // TestHash64Vectors pins the state hash on fixed inputs: the digest is
 // a function of the bytes alone, so any drift by platform, Go release
-// or refactor shows up here before it shows up as an irreproducible
-// compact-mode omission.
+// or refactor shows up here before it shows up as -stats output or a
+// probe order that no longer reproduces.
 func TestHash64Vectors(t *testing.T) {
 	long := make([]byte, 660) // the size of a shared4 canonical encoding
 	for i := range long {

@@ -13,7 +13,7 @@ import (
 // the 1-7 trailing bytes and the input length. It is unseeded and reads
 // words with an explicit byte order, so a digest depends on the bytes
 // alone — not on the run, the platform or the Go release — which is
-// what keeps compact-mode omissions and -stats output reproducible.
+// what keeps visited-table probe order and -stats output reproducible.
 func hash64(b []byte) uint64 {
 	n := uint64(len(b))
 	h := uint64(hashK0)

@@ -94,8 +94,8 @@ func keyTrail(t testing.TB, timed bool) []*World {
 // TestKeyFingerprintIndependentOfInterningOrder: two interners that
 // meet the same states in opposite orders number the pieces
 // differently, yet every state gets the same fingerprint from both,
-// plain and canonical — the property that keeps compact-mode omissions
-// and table placement from depending on exploration order or workers.
+// plain and canonical — the property that keeps -stats output and
+// table placement from depending on exploration order or workers.
 func TestKeyFingerprintIndependentOfInterningOrder(t *testing.T) {
 	for _, timed := range []bool{false, true} {
 		trail := keyTrail(t, timed)

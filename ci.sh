@@ -118,8 +118,8 @@ done
 rm -f /tmp/cnetverify.$$ /tmp/sum_w1.$$ /tmp/sum_wn.$$
 echo ok
 
-echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
-go test -race -run 'TestVTable' ./internal/check
+echo "== visited-table race leg x20 (shard locks: claims, min-depth merges, shard growth, MaxStates and Budget caps) =="
+go test -race -count=20 -run 'TestVTableRaceHammer|TestVTableConcurrentCaps' ./internal/check
 
 echo "== alloc budgets (flat visited table, keying, key loading, canonical hashing, scenario events and apply/undo stay on the alloc-free hot path) =="
 go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget|TestParallelAllocBudget|TestScenarioEventsAllocFree' ./internal/core

@@ -244,12 +244,24 @@ func runCampaign(ues int, frac4G float64, horizon time.Duration, workers int, se
 	}
 }
 
-// parseLossGrid accepts "start:end:step" or a comma-separated list.
+// maxLossPoints bounds a -loss grid: each point costs a full sweep of
+// replays, and the bound stops a mistyped step from allocating a grid
+// of a billion points before anything runs.
+const maxLossPoints = 1000
+
+// parseLossGrid accepts "start:end:step" or a comma-separated list of
+// finite rates in [0,1), at most maxLossPoints of them.
 func parseLossGrid(spec string) ([]float64, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	bad := func() error { return fmt.Errorf("bad -loss %q (want start:end:step or a comma list in [0,1))", spec) }
+	bad := func() error {
+		return fmt.Errorf("bad -loss %q (want start:end:step or a comma list in [0,1), at most %d points)", spec, maxLossPoints)
+	}
+	parse := func(p string) (float64, bool) {
+		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
+	}
 	if strings.Contains(spec, ":") {
 		parts := strings.Split(spec, ":")
 		if len(parts) != 3 {
@@ -257,8 +269,8 @@ func parseLossGrid(spec string) ([]float64, error) {
 		}
 		var v [3]float64
 		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
+			f, ok := parse(p)
+			if !ok {
 				return nil, bad()
 			}
 			v[i] = f
@@ -267,18 +279,28 @@ func parseLossGrid(spec string) ([]float64, error) {
 		if step <= 0 || start < 0 || end < start || end >= 1 {
 			return nil, bad()
 		}
-		var out []float64
-		// Round to micro precision so 0.1+0.1+0.1 style accumulation
-		// never produces a stray 0.30000000000000004 grid point.
-		for x := start; x <= end+step/1e6; x += step {
-			out = append(out, math.Round(x*1e6)/1e6)
+		// Points start+i*step up to end, with a micro-step of slack so
+		// a grid like 0:0.3:0.1 keeps its end point.
+		n := math.Floor((end-start)/step+1e-6) + 1
+		if n > maxLossPoints {
+			return nil, bad()
+		}
+		out := make([]float64, int(n))
+		for i := range out {
+			// Round to micro precision so 0.1+0.1+0.1 style error never
+			// produces a stray 0.30000000000000004 grid point.
+			out[i] = math.Round((start+float64(i)*step)*1e6) / 1e6
 		}
 		return out, nil
 	}
+	parts := strings.Split(spec, ",")
+	if len(parts) > maxLossPoints {
+		return nil, bad()
+	}
 	var out []float64
-	for _, p := range strings.Split(spec, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || f < 0 || f >= 1 {
+	for _, p := range parts {
+		f, ok := parse(p)
+		if !ok || f < 0 || f >= 1 {
 			return nil, bad()
 		}
 		out = append(out, math.Round(f*1e6)/1e6)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cnetverifier/internal/core"
@@ -26,6 +27,17 @@ func TestParseLossGrid(t *testing.T) {
 		{"0:1:0.5", nil, true},     // 100% loss can never terminate a handshake
 		{"a,b", nil, true},
 		{"-0.1", nil, true},
+		{"NaN", nil, true},
+		{"0.1,NaN", nil, true},
+		{"Inf", nil, true},
+		{"NaN:0.5:0.1", nil, true},
+		{"0:NaN:0.1", nil, true},
+		{"0:0.5:NaN", nil, true},
+		{"0:0.5:Inf", nil, true},
+		{"-Inf:0.5:0.1", nil, true},
+		{"0:0.9:1e-9", nil, true},   // 9e8 points
+		{"0:0.5:0.0005", nil, true}, // 1,001 points
+		{strings.Repeat("0.1,", 1000) + "0.1", nil, true},
 	}
 	for _, tc := range cases {
 		got, err := parseLossGrid(tc.spec)
@@ -42,6 +54,11 @@ func TestParseLossGrid(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseLossGrid(%q) = %v, want %v", tc.spec, got, tc.want)
 		}
+	}
+	// The largest grid allowed: 1,000 points, its end point included.
+	got, err := parseLossGrid("0:0.999:0.001")
+	if err != nil || len(got) != 1000 || got[999] != 0.999 {
+		t.Errorf("parseLossGrid(0:0.999:0.001): %d points, %v; want 1000 ending 0.999", len(got), err)
 	}
 }
 

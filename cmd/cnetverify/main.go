@@ -71,8 +71,8 @@
 // Exit status is 2 when a property violation is found in a fixed world
 // (the §8 solutions must be clean) or on an unknown flag, 1 on a usage
 // error (a stray argument, an unknown world or strategy, a negative
-// -depth, -states or -budget, a -walks, -workers or -parallel below 1)
-// or a failed run, 0 otherwise.
+// -depth, -states or -budget, a -depth above 65535, a -walks, -workers
+// or -parallel below 1) or a failed run, 0 otherwise.
 package main
 
 import (
@@ -95,7 +95,7 @@ func main() {
 		world    = flag.String("world", "all", "scoped world: all, s1, s2, s3, s4cs, s4ps, s6, multiue, multiue-shared")
 		fixed    = flag.Bool("fixed", false, "enable the §8 fixes")
 		strategy = flag.String("strategy", "dfs", "exploration strategy: dfs, bfs, walk")
-		depth    = flag.Int("depth", 0, "max path depth (0 = world default)")
+		depth    = flag.Int("depth", 0, "max path depth (0 = world default; at most 65535)")
 		states   = flag.Int("states", 0, "max distinct states (0 = default)")
 		walks    = flag.Int("walks", 1000, "random walks (strategy=walk)")
 		seed     = flag.Int64("seed", 1, "random-walk seed")

@@ -74,7 +74,8 @@ func TestStatsFrontier(t *testing.T) {
 }
 
 // TestOutOfRangeCounts: a number the world default would otherwise
-// silently replace is refused before anything is screened.
+// silently replace, or a depth the visited table cannot record, is
+// refused before anything is screened.
 func TestOutOfRangeCounts(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -86,6 +87,7 @@ func TestOutOfRangeCounts(t *testing.T) {
 		{[]string{"-workers", "0"}, "-workers must be at least 1, got 0"},
 		{[]string{"-parallel", "0"}, "-parallel must be at least 1, got 0"},
 		{[]string{"-walks", "0", "-strategy", "walk"}, "-walks must be at least 1, got 0"},
+		{[]string{"-depth", "70000"}, "MaxDepth 70000 exceeds the visited table's depth limit 65535"},
 	} {
 		args := append([]string{"-world", "s1"}, c.args...)
 		code, out, stderr := cnetverify(t, args...)

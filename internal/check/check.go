@@ -93,7 +93,9 @@ type Options struct {
 	// counterexample length. With Workers > 1 both run the
 	// breadth-first layered engine.
 	Strategy Strategy
-	// MaxDepth bounds the length of explored paths (default 64).
+	// MaxDepth bounds the length of explored paths (default 64, at
+	// most 65535: the visited table keeps each state's minimal depth
+	// in 16 bits, and Run refuses a larger bound).
 	MaxDepth int
 	// MaxStates bounds the number of distinct states visited
 	// (default 1 << 20).
@@ -285,8 +287,8 @@ type Result struct {
 	Dropped   int
 	// Visited describes the visited table after the run — occupancy,
 	// probe-length histogram, key bytes, interned components (see
-	// VisitedStats). Slot placement depends on claim interleaving, so
-	// these diagnostics are outside the determinism contract.
+	// VisitedStats). Live, Slots, Grows and Components repeat at any
+	// worker count; key bytes and probe displacements do not.
 	Visited *VisitedStats
 }
 
@@ -322,6 +324,9 @@ type violKey struct {
 // returns the checking result. The input world is not mutated.
 func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
+	if opt.MaxDepth > vtDepthMax {
+		return nil, fmt.Errorf("check: MaxDepth %d exceeds the visited table's depth limit %d", opt.MaxDepth, vtDepthMax)
+	}
 	if w.TimingEnabled() && !opt.Timing {
 		return nil, fmt.Errorf("check: world has virtual-time timers; set Options.Timing to enumerate timed schedules")
 	}

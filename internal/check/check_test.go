@@ -194,6 +194,22 @@ func TestMaxStatesTruncates(t *testing.T) {
 	}
 }
 
+// TestMaxDepthLimit: the visited table keeps a state's minimal depth in
+// 16 bits, so the deepest bound it can honour exactly is accepted and
+// one past it is refused before any search starts.
+func TestMaxDepthLimit(t *testing.T) {
+	w := counterWorld(t)
+	if _, err := Run(w, nil, moveScenario(), Options{MaxDepth: 65535, MaxStates: 100}); err != nil {
+		t.Fatalf("MaxDepth 65535 refused: %v", err)
+	}
+	for _, s := range []Strategy{DFS, BFS, RandomWalk} {
+		res, err := Run(w, nil, moveScenario(), Options{Strategy: s, MaxDepth: 65536})
+		if err == nil || !strings.Contains(err.Error(), "MaxDepth 65536") {
+			t.Errorf("%v: MaxDepth 65536 gave %v, %v; want an error naming it", s, res, err)
+		}
+	}
+}
+
 func TestNilScenario(t *testing.T) {
 	w := counterWorld(t)
 	res, err := Run(w, []Property{limitProp{limit: 1}}, nil, Options{})

@@ -41,7 +41,9 @@ func violationKeys(res *check.Result) []string {
 // coverage; and on the search worlds the runs with 2 and 8 workers
 // equal sequential BFS on everything that counts work — transitions,
 // depth, truncation, message losses, the widest frontier layer and
-// per-transition coverage counts.
+// per-transition coverage counts, and on the visited-table stats that
+// depend only on the state set (Live, Slots, Grows, Components). Two
+// sequential DFS runs return equal visited-table stats.
 func TestParallelDeterminism(t *testing.T) {
 	worlds := core.StandardWorlds(false)
 	worlds["multiue-shared3"] = core.MultiUEWorldShared(3, false)
@@ -54,6 +56,13 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			wantKeys := violationKeys(base.Result)
 			wantCov := check.SpecCoverage(s.World, base.Result)
+			again, err := core.Screen(s, check.Options{})
+			if err != nil {
+				t.Fatalf("second sequential screen: %v", err)
+			}
+			if !reflect.DeepEqual(again.Result.Visited, base.Result.Visited) {
+				t.Errorf("visited stats differ between two sequential runs:\n%v\n%v", again.Result.Visited, base.Result.Visited)
+			}
 
 			var seq *check.Result
 			if s.Options.Strategy != check.RandomWalk {
@@ -95,6 +104,10 @@ func TestParallelDeterminism(t *testing.T) {
 					}
 					if !reflect.DeepEqual(got.Covered, want.Covered) {
 						t.Errorf("coverage counts differ from the sequential run:\n got %v\nwant %v", got.Covered, want.Covered)
+					}
+					if g, w := got.Visited, want.Visited; g == nil || w == nil ||
+						g.Live != w.Live || g.Slots != w.Slots || g.Grows != w.Grows || g.Components != w.Components {
+						t.Errorf("visited live/slots/grows/components differ from the sequential run:\n got %v\nwant %v", g, w)
 					}
 				})
 			}

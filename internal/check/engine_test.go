@@ -98,7 +98,7 @@ func TestWalkSeedIndependence(t *testing.T) {
 	}
 }
 
-// TestParallelMaxStates asserts the CAS token reservation holds the
+// TestParallelMaxStates asserts the state-count reservation holds the
 // cap exactly under concurrent discovery.
 func TestParallelMaxStates(t *testing.T) {
 	w := counterWorld(t)

@@ -31,7 +31,9 @@ func NewBudget(states int) *Budget {
 // token it briefly over-drew. The counter can therefore dip negative
 // transiently, but only by the number of concurrently failing takers —
 // a take succeeds only when the pre-decrement value was positive, so
-// the pool never over-grants.
+// the pool never over-grants. The visited table takes a token under the
+// claiming shard's lock, after it has found the state absent, so every
+// granted token is spent on a recorded state and none is handed back.
 func (b *Budget) take() bool {
 	if b == nil {
 		return true
@@ -41,15 +43,6 @@ func (b *Budget) take() bool {
 		return false
 	}
 	return true
-}
-
-// put returns one token to the pool: the undo of a take whose claim
-// lost a CAS race in the visited table (the state was concurrently
-// recorded by another worker, so no token is owed for it).
-func (b *Budget) put() {
-	if b != nil {
-		b.left.Add(1)
-	}
 }
 
 // Remaining returns the tokens left in the pool (0 when exhausted; the
@@ -77,14 +70,15 @@ func (c *Cancel) Cancel() { c.flag.Store(true) }
 func (c *Cancel) Cancelled() bool { return c != nil && c.flag.Load() }
 
 // visitedSet is the deduplication structure every driver shares: the
-// lock-free open-addressing fingerprint table of vtable.go, holding for
-// each state its collapsed key (model.World.AppendKey, or
+// lock-striped open-addressing fingerprint table of vtable.go, holding
+// for each state its collapsed key (model.World.AppendKey, or
 // AppendCanonicalKey: one interned piece id per component — machine,
 // inbox, globals, timers — under the set's one model.Interner) and the
 // shallowest depth at which it was discovered. The fingerprint is the
 // key's content hash, a fold over the pieces' hash64 digests: unseeded
 // and independent of interning order, so fingerprints, and with them
-// probe order and -stats, repeat run to run and at any worker count.
+// each state's shard and home slot and the table's size and growth,
+// repeat run to run and at any worker count.
 //
 // Min-depth tracking is what makes bounded exploration deterministic:
 // a state first reached through a long path is re-expanded if a

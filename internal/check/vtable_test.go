@@ -76,8 +76,8 @@ func TestVTableMatchesReferenceMap(t *testing.T) {
 }
 
 // TestVTableGrowthKeepsEntries inserts far more states than the initial
-// table holds (sequentially), forcing repeated cooperative growth, and
-// then verifies every entry survived migration with its minimal depth:
+// table holds (sequentially), forcing repeated shard growth, and then
+// verifies every entry survived the rehashes with its minimal depth:
 // re-marking at the recorded min is a no-op, one shallower expands.
 func TestVTableGrowthKeepsEntries(t *testing.T) {
 	v := newVisitedTable(false, 0, nil, 4)
@@ -128,10 +128,10 @@ func TestVTableGrowthKeepsEntries(t *testing.T) {
 
 // TestVTableRaceHammer is the concurrent torture test: workers hammer
 // overlapping key ranges with clashing depths into a table starting at
-// minimum size, so claims, min-depth CAS merges and chunked migrations
-// all race. Afterwards the table must hold exactly the distinct keys,
-// each at the global minimum depth. Run under -race this also checks
-// the claim/publish and seal/copy protocols for data races.
+// minimum size, so claims, min-depth merges and shard growth all
+// contend for the shard locks. Afterwards the table must hold exactly
+// the distinct keys, each at the global minimum depth. Run under -race
+// this also checks that every slot, ref and key access is guarded.
 func TestVTableRaceHammer(t *testing.T) {
 	const (
 		workers = 8
@@ -245,5 +245,65 @@ func TestVTableCaps(t *testing.T) {
 	}
 	if b.Remaining() != 0 {
 		t.Fatalf("budget remaining %d, want 0", b.Remaining())
+	}
+}
+
+// TestVTableConcurrentCaps pins MaxStates and Budget enforcement under
+// concurrent marking: 8 goroutines mark disjoint keys, and exactly the
+// capped number of them are recorded, with no token left over or
+// overspent.
+func TestVTableConcurrentCaps(t *testing.T) {
+	const (
+		workers = 8
+		perG    = 400
+		limit   = 1000
+	)
+	b := NewBudget(limit)
+	for name, v := range map[string]*visitedTable{
+		"MaxStates": newVisitedTable(false, limit, nil, 4),
+		"Budget":    newVisitedTable(false, 0, b, 4),
+	} {
+		var (
+			wg          sync.WaitGroup
+			mu          sync.Mutex
+			isNew, capd int
+		)
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				n, c := 0, 0
+				for i := 0; i < perG; i++ {
+					k := g*perG + i
+					m, err := v.mark(uint64(k+1)<<vtDepthBits|uint64(k), []byte(fmt.Sprintf("cap-%05d", k)), 1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if m.isNew {
+						n++
+					}
+					if m.capped {
+						c++
+					}
+				}
+				mu.Lock()
+				isNew, capd = isNew+n, capd+c
+				mu.Unlock()
+			}(g)
+		}
+		wg.Wait()
+		if isNew != limit || capd != workers*perG-limit {
+			t.Errorf("%s: %d new, %d capped; want %d and %d", name, isNew, capd, limit, workers*perG-limit)
+		}
+		if v.size() != limit {
+			t.Errorf("%s: size %d, want %d", name, v.size(), limit)
+		}
+		if s := v.stats(); s.Live != limit {
+			t.Errorf("%s: stats.Live = %d, want %d", name, s.Live, limit)
+		}
+	}
+	if b.Remaining() != 0 {
+		t.Errorf("budget remaining %d, want 0", b.Remaining())
 	}
 }

@@ -32,6 +32,16 @@ echo ok
 echo "== go build =="
 go build ./...
 
+echo "== no shipped binary links testing (every main under cmd/ and examples/) =="
+deps=$(go list -f '{{.ImportPath}}:{{range .Deps}} {{.}}{{end}}' ./cmd/... ./examples/...)
+offenders=$(printf '%s\n' "$deps" | grep -E ' testing( |$)' | cut -d: -f1)
+if [ -n "$offenders" ]; then
+    echo "these link the testing package (keep testing.* in _test.go files):"
+    echo "$offenders"
+    exit 1
+fi
+echo ok
+
 echo "== go test =="
 go test ./...
 
@@ -182,7 +192,7 @@ echo ok
 echo "== fuzz smoke (campaign occurrence-row codec, 15s) =="
 go test ./internal/campaign -run '^$' -fuzz FuzzCampaignRow -fuzztime 15s >/dev/null
 
-echo "== benchmarks (smoke, alloc-counted, 1 iteration each, screening included) =="
+echo "== screening benchmark smoke (BenchmarkScreenWorlds, alloc-counted, 1 iteration per world) =="
 go test -run '^$' -bench . -benchtime=1x -benchmem . >/dev/null
 
 echo "CI gate passed."

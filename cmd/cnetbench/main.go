@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	cnetbench [-exp all|table1|table3|table4|table5|table6|fig4|fig7|fig8|fig9|fig10|fig12|fig13|sec93]
+//	cnetbench [-exp all|table1|table3|table4|table5|table6|fig4|fig7|fig8|fig9|fig10|fig12|fig13|sec93|s5vol|coverage|validate|inflation]
 //	          [-runs N] [-seed N] [-o FILE]
-//	cnetbench -exp perf|por|sym|por+sym|campaign [-json [-perf-label L]] [-o FILE]
 //
 // -exp all runs every paper section plus s5vol, coverage, validate and
-// inflation. The benchmark experiments (perf, por, sym, por+sym,
-// campaign) run only when named, and only they take -json.
+// inflation, in that order.
 //
 // Every argument is checked before -o FILE is opened. Exit status is 2
-// on a usage error (a stray argument, an unknown experiment, -json or
-// -perf-label on a paper section, -runs below 1), 1 when an experiment
-// or the output file fails, 0 otherwise.
+// on a usage error (a stray argument, an unknown experiment, -runs
+// below 1), 1 when an experiment or the output file fails, 0 otherwise.
 package main
 
 import (
@@ -38,25 +35,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// perfExps are the benchmark experiments. None is part of -exp all:
-// each reruns its screens many times under testing.Benchmark.
-var perfExps = map[string]func() ([]experiments.PerfRun, error){
-	// Screening throughput of every scoped world per worker count.
-	"perf": func() ([]experiments.PerfRun, error) { return experiments.PerfScreen(nil) },
-	// Partial-order reduction on the 3-UE world.
-	"por": experiments.PerfPOR,
-	// Symmetry reduction on the shared-core 4-UE world (the world POR
-	// cannot decompose), off and on; por+sym composes it with POR. The
-	// state-count ratio is the canonicalization acceptance number
-	// recorded in BENCH_screen.json under this label.
-	"sym":     func() ([]experiments.PerfRun, error) { return experiments.PerfSym(false) },
-	"por+sym": func() ([]experiments.PerfRun, error) { return experiments.PerfSym(true) },
-	// Population-scale load engine throughput: a 100k-UE campaign per
-	// worker count; states_per_sec reads as procedure occurrences per
-	// second.
-	"campaign": func() ([]experiments.PerfRun, error) { return experiments.PerfCampaign(nil) },
-}
-
 // section is one experiment -exp all runs, in report order.
 type section struct {
 	name string
@@ -67,12 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cnetbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp     = fs.String("exp", "all", "experiment to regenerate (table1..6, fig4..13, sec93, s5vol, inflation, coverage, validate, perf, por, sym, por+sym, campaign)")
-		runs    = fs.Int("runs", 100, "runs per distribution-style experiment")
-		seed    = fs.Int64("seed", 1, "base RNG seed")
-		out     = fs.String("o", "", "write the report to FILE instead of stdout")
-		asJSON  = fs.Bool("json", false, "emit machine-readable JSON (perf, por, sym, por+sym, campaign)")
-		perfLbl = fs.String("perf-label", "current", "label stored in the perf JSON report")
+		exp  = fs.String("exp", "all", "experiment to regenerate (table1..6, fig4..13, sec93, s5vol, inflation, coverage, validate)")
+		runs = fs.Int("runs", 100, "runs per distribution-style experiment")
+		seed = fs.Int64("seed", 1, "base RNG seed")
+		out  = fs.String("o", "", "write the report to FILE instead of stdout")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -84,12 +60,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cnetbench: "+format+"\n", a...)
 		return 2
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	sections := paperSections(*runs, *seed)
 	want := strings.ToLower(*exp)
-	perf, isPerf := perfExps[want]
 	var chosen []section
 	for _, s := range sections {
 		if want == "all" || want == s.name {
@@ -100,47 +73,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return usage("unexpected argument %q (choose the experiment with -exp)", fs.Arg(0))
 	}
-	if !isPerf && len(chosen) == 0 {
+	if len(chosen) == 0 {
 		known := []string{"all"}
 		for _, s := range sections {
 			known = append(known, s.name)
 		}
-		for name := range perfExps {
-			known = append(known, name)
-		}
 		sort.Strings(known[1:])
 		return usage("unknown experiment %q (known: %s)", *exp, strings.Join(known, ", "))
-	}
-	if !isPerf {
-		for _, f := range []string{"json", "perf-label"} {
-			if set[f] {
-				return usage("-%s applies to the perf, por, sym, por+sym and campaign experiments, not %q", f, *exp)
-			}
-		}
 	}
 	if *runs < 1 {
 		return usage("-runs must be at least 1, got %d", *runs)
 	}
 
 	report := func(w io.Writer) int {
-		if isPerf {
-			prs, err := perf()
-			if err != nil {
-				fmt.Fprintf(stderr, "cnetbench: %s: %v\n", want, err)
-				return 1
-			}
-			if !*asJSON {
-				fmt.Fprintln(w, experiments.RenderPerfTable(prs))
-				return 0
-			}
-			s, err := experiments.RenderPerfJSON(*perfLbl, prs)
-			if err != nil {
-				fmt.Fprintf(stderr, "cnetbench: %s: %v\n", want, err)
-				return 1
-			}
-			fmt.Fprintln(w, s)
-			return 0
-		}
 		for _, s := range chosen {
 			text, err := s.f()
 			if err != nil {

@@ -25,12 +25,13 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"table1", "extra"}, `unexpected argument "table1"`},
 		{[]string{"-exp", "table1", "extra"}, `unexpected argument "extra"`},
-		{[]string{"-exp", "bogus"}, `unknown experiment "bogus"`},
+		{[]string{"-exp", "bogus"}, `unknown experiment "bogus" (known: all, coverage, fig10, fig12, fig13, fig4, fig7, fig8, fig9, inflation, s5vol, sec93, table1, table3, table4, table5, table6, validate)`},
 		{[]string{"-exp", "vlean"}, `unknown experiment "vlean"`},
 		{[]string{"-exp", "vlean+por+sym"}, `unknown experiment "vlean+por+sym"`},
-		{[]string{"-exp", "table1", "-json"}, `-json applies to the perf, por, sym, por+sym and campaign experiments, not "table1"`},
-		{[]string{"-json"}, `-json applies to the perf`},
-		{[]string{"-exp", "fig4", "-perf-label", "x"}, `-perf-label applies to the perf`},
+		{[]string{"-exp", "perf"}, `unknown experiment "perf"`},
+		{[]string{"-exp", "campaign"}, `unknown experiment "campaign"`},
+		{[]string{"-exp", "table1", "-json"}, "flag provided but not defined: -json"},
+		{[]string{"-exp", "fig4", "-perf-label", "x"}, "flag provided but not defined: -perf-label"},
 		{[]string{"-exp", "fig4", "-runs", "0"}, "-runs must be at least 1, got 0"},
 		{[]string{"-exp", "fig4", "-runs", "-2"}, "-runs must be at least 1, got -2"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
@@ -53,6 +54,7 @@ func TestUsageErrorKeepsOutputFile(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "bogus", "-o", path},
 		{"-exp", "table1", "-json", "-o", path},
+		{"-exp", "perf", "-o", path},
 		{"-exp", "fig4", "-runs", "0", "-o", path},
 		{"-o", path, "table1"},
 	} {

@@ -14,6 +14,9 @@
 // the same analysis's cross-protocol interaction graph as Graphviz DOT.
 // Either exits immediately, like -dot; giving both is a usage error.
 //
+// -spec none -world none lists the registry: one "spec NAME" or
+// "world NAME" line per registered spec variant and standard world.
+//
 // Exit status is 1 when any finding reaches the -fail-on severity
 // (default error), 2 on usage errors — an unknown spec, world, rule ID
 // in -suppress or severity in -fail-on, or -effects with -graph — and 0
@@ -122,6 +125,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	worldNames, err := selectNames(*worldName, core.WorldNames(), "world")
 	if err != nil {
 		return usage("%v", err)
+	}
+	if len(specNames) == 0 && len(worldNames) == 0 {
+		for _, name := range core.SpecNames() {
+			fmt.Fprintln(stdout, "spec", name)
+		}
+		for _, name := range core.WorldNames() {
+			fmt.Fprintln(stdout, "world", name)
+		}
+		return 0
 	}
 
 	type target struct {

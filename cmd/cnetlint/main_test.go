@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cnetverifier/internal/core"
 	"cnetverifier/internal/lint"
 )
 
@@ -107,6 +108,25 @@ func TestFailOn(t *testing.T) {
 	code, out, _ := cnetlint(t, "-spec", "none", "-world", "s1", "-fail-on", "info")
 	if code != 1 || !strings.Contains(out, "linted 1 targets") {
 		t.Fatalf("-fail-on info: exit %d, stdout ends %q; want 1", code, out[max(0, len(out)-80):])
+	}
+}
+
+// TestListRegistry: -spec none -world none lists every registered spec
+// variant and standard world, one per line, and lints nothing.
+func TestListRegistry(t *testing.T) {
+	code, out, stderr := cnetlint(t, "-spec", "none", "-world", "none")
+	var want strings.Builder
+	for _, name := range core.SpecNames() {
+		want.WriteString("spec " + name + "\n")
+	}
+	for _, name := range core.WorldNames() {
+		want.WriteString("world " + name + "\n")
+	}
+	if code != 0 || stderr != "" || out != want.String() {
+		t.Fatalf("exit %d, stderr %q, stdout:\n%s\nwant exit 0 and:\n%s", code, stderr, out, want.String())
+	}
+	if !strings.Contains(out, "spec emm-ue-fixed\n") || !strings.Contains(out, "world s1\n") {
+		t.Fatalf("listing misses a registry name:\n%s", out)
 	}
 }
 

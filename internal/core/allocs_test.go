@@ -19,7 +19,7 @@ const maxAllocsPerState = 13.0
 
 // TestScreenAllocBudget is the allocation regression guard: a warm
 // sequential screen of the S1 world must stay under the checked-in
-// allocs-per-state budget. It complements the BenchmarkScreen* suite —
+// allocs-per-state budget. It complements BenchmarkScreenWorlds —
 // benchmarks report drift, this test fails the build on it.
 func TestScreenAllocBudget(t *testing.T) {
 	if raceEnabled {

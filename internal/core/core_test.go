@@ -122,11 +122,15 @@ func TestScreenS3ReselectStuck(t *testing.T) {
 }
 
 // OP-I's redirect policy avoids S3 even without the fix (§5.3.2) —
-// at the cost of disrupting the data session.
+// at the cost of disrupting the data session. Handover, the third
+// switching option of Fig. 6a, avoids it too: only reselection (OP-II)
+// strands the device.
 func TestScreenS3RedirectClean(t *testing.T) {
-	r := screenOne(t, S3World(false, names.SwitchRedirect))
-	if r.Violated() {
-		t.Fatalf("S3 redirect world should not violate MM_OK: %v", r.Result.Violations)
+	for _, opt := range []int{names.SwitchRedirect, names.SwitchHandover} {
+		r := screenOne(t, S3World(false, opt))
+		if r.Violated() {
+			t.Fatalf("S3 world with switch option %d should not violate MM_OK: %v", opt, r.Result.Violations)
+		}
 	}
 }
 

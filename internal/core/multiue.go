@@ -27,7 +27,7 @@ import (
 // This is the scaling shape the paper hits when screening multi-device
 // scenarios (§7: several UEs under one SGSN interact only through
 // shared infrastructure, not through each other's NAS state), and the
-// world the ci POR gate and BenchmarkScreenMultiUE measure.
+// world the ci POR gate screens.
 func MultiUEWorld(n int, fixed bool) Scoped {
 	if n < 1 {
 		panic(fmt.Sprintf("core: MultiUEWorld: need at least 1 UE, got %d", n))
@@ -107,8 +107,8 @@ func multiUESymmetry(n int) *model.Symmetry {
 // buys nothing — exactly the coupled case ROADMAP names. The UEs are
 // still interchangeable, so Options.Symmetry collapses the ~n!
 // permutation blowup instead: the world is the acceptance vehicle for
-// the UE-symmetry canonicalization (ci sym gate, BENCH_screen labels
-// "sym"/"por+sym").
+// the UE-symmetry canonicalization (ci sym gate, the bench's
+// screen-sym-shared4 workload).
 //
 // The S4 HOL-blocking defect stays per-UE (g.<ns>.dataDelayed), so the
 // defective world reports one DataService_OK violation per UE, like

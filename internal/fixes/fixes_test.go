@@ -39,32 +39,47 @@ func TestReliableLosslessInOrder(t *testing.T) {
 }
 
 // The S2 root cause, repaired: every message survives a lossy link
-// exactly once and in order.
+// exactly once and in order — at 40% loss, and at 20% loss for every
+// retransmission timeout from 50 to 800 ms (the shim's tuning knob:
+// shorter timeouts only retransmit more often).
 func TestReliableSurvivesLoss(t *testing.T) {
-	sim := netemu.NewSim(2)
-	drop := radio.NewDropper(0.4, 99)
-	var got []uint32
-	p := NewReliablePair(sim, ReliableConfig{RTO: 50 * time.Millisecond}, 5*time.Millisecond, 0,
-		drop.Drop, drop.Drop,
-		nil, func(m types.Message) { got = append(got, m.Seq) })
-	const n = 50
-	for i := 0; i < n; i++ {
-		p.A.Send(msg(types.MsgAttachComplete))
-	}
-	sim.Run()
-	if len(got) != n {
-		t.Fatalf("delivered %d, want %d (retx=%d failed=%d)", len(got), n, p.A.Retransmitted, p.A.Failed)
-	}
-	for i, seq := range got {
-		if seq != uint32(i+1) {
-			t.Fatalf("out of order at %d: seq %d", i, seq)
+	for _, tc := range []struct {
+		loss       float64
+		rto, delay time.Duration
+		maxRetries int
+		seed, drop int64
+	}{
+		{0.4, 50 * time.Millisecond, 5 * time.Millisecond, 0, 2, 99},
+		{0.2, 50 * time.Millisecond, 20 * time.Millisecond, 30, 1, 100},
+		{0.2, 200 * time.Millisecond, 20 * time.Millisecond, 30, 1, 100},
+		{0.2, 800 * time.Millisecond, 20 * time.Millisecond, 30, 1, 100},
+	} {
+		sim := netemu.NewSim(tc.seed)
+		drop := radio.NewDropper(tc.loss, tc.drop)
+		var got []uint32
+		p := NewReliablePair(sim, ReliableConfig{RTO: tc.rto, MaxRetries: tc.maxRetries}, tc.delay, 0,
+			drop.Drop, drop.Drop,
+			nil, func(m types.Message) { got = append(got, m.Seq) })
+		const n = 50
+		for i := 0; i < n; i++ {
+			p.A.Send(msg(types.MsgAttachComplete))
 		}
-	}
-	if p.A.Retransmitted == 0 {
-		t.Fatal("lossy link should force retransmissions")
-	}
-	if p.A.Failed != 0 {
-		t.Fatalf("failures = %d", p.A.Failed)
+		sim.Run()
+		if len(got) != n {
+			t.Fatalf("loss %v RTO %v: delivered %d, want %d (retx=%d failed=%d)",
+				tc.loss, tc.rto, len(got), n, p.A.Retransmitted, p.A.Failed)
+		}
+		for i, seq := range got {
+			if seq != uint32(i+1) {
+				t.Fatalf("loss %v RTO %v: out of order at %d: seq %d", tc.loss, tc.rto, i, seq)
+			}
+		}
+		if p.A.Retransmitted == 0 {
+			t.Fatalf("loss %v RTO %v: lossy link should force retransmissions", tc.loss, tc.rto)
+		}
+		if p.A.Failed != 0 {
+			t.Fatalf("loss %v RTO %v: failures = %d", tc.loss, tc.rto, p.A.Failed)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package fsm
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"cnetverifier/internal/types"
 )
@@ -21,8 +19,7 @@ type Edge struct {
 }
 
 // Edges expands the spec's transition table into concrete edges. This
-// is the structural graph the reachability helpers and the internal/lint
-// passes operate on.
+// is the structural graph the internal/lint passes operate on.
 func (s *Spec) Edges() []Edge {
 	states := s.States()
 	var out []Edge
@@ -42,75 +39,6 @@ func (s *Spec) Edges() []Edge {
 	return out
 }
 
-// edge and edges are the historical private aliases, kept so the
-// existing helpers below read unchanged.
-type edge = Edge
-
-func (s *Spec) edges() []edge { return s.Edges() }
-
-// Reachable returns the states reachable from Init through the
-// transition structure, ignoring guards (an over-approximation: a
-// guarded edge is assumed traversable).
-//
-// Deprecated: internal/lint reports unreachable states as rule SPEC004
-// with location and severity attached; prefer lint.Spec for diagnostics
-// and keep this only as the raw graph query.
-func (s *Spec) Reachable() map[State]bool {
-	adj := make(map[State][]State)
-	for _, e := range s.edges() {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	seen := map[State]bool{s.Init: true}
-	stack := []State{s.Init}
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nxt := range adj[st] {
-			if !seen[nxt] {
-				seen[nxt] = true
-				stack = append(stack, nxt)
-			}
-		}
-	}
-	return seen
-}
-
-// UnreachableStates lists declared states the structure can never
-// enter — usually a spec bug.
-//
-// Deprecated: superseded by internal/lint rule SPEC004, which carries
-// severity and location; kept as a thin query for existing callers.
-func (s *Spec) UnreachableStates() []State {
-	reach := s.Reachable()
-	var out []State
-	for _, st := range s.States() {
-		if !reach[st] {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// DeadEndStates lists reachable states with no outgoing transitions at
-// all (not even wildcards) — a machine stuck forever once there.
-//
-// Deprecated: superseded by internal/lint rule SPEC005, which carries
-// severity and location; kept as a thin query for existing callers.
-func (s *Spec) DeadEndStates() []State {
-	outdeg := make(map[State]int)
-	for _, e := range s.edges() {
-		outdeg[e.From]++
-	}
-	var out []State
-	for st, ok := range s.Reachable() {
-		if ok && outdeg[st] == 0 {
-			out = append(out, st)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Events returns the sorted set of message kinds the spec reacts to.
 func (s *Spec) Events() []types.MsgKind {
 	set := map[types.MsgKind]bool{}
@@ -123,59 +51,4 @@ func (s *Spec) Events() []types.MsgKind {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// DOT renders the machine as a Graphviz digraph: states as nodes
-// (initial state doubled), transitions as labeled edges; guarded
-// transitions render dashed.
-//
-// Deprecated: internal/lint's annotated DOT additionally colors
-// unreachable, dead-end and shadowed elements from its findings; kept
-// for callers that want the plain graph.
-func (s *Spec) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", s.Name)
-	b.WriteString("  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n")
-	fmt.Fprintf(&b, "  %q [peripheries=2];\n", string(s.Init))
-	for _, e := range s.edges() {
-		style := ""
-		if e.Guarded {
-			style = ", style=dashed"
-		}
-		fmt.Fprintf(&b, "  %q -> %q [label=%q%s];\n",
-			string(e.From), string(e.To), fmt.Sprintf("%s\\n%s", e.On, e.Name), style)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// Describe renders a markdown summary of the spec: its states, the
-// events it reacts to, and the transition table.
-func (s *Spec) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "## %s", s.Name)
-	if s.Proto != types.ProtoNone {
-		fmt.Fprintf(&b, " (%s, %s at %s)", s.Proto, s.Proto.Standard(), s.Proto.NetworkElement())
-	}
-	b.WriteString("\n\n")
-	states := s.States()
-	names := make([]string, len(states))
-	for i, st := range states {
-		names[i] = string(st)
-	}
-	fmt.Fprintf(&b, "States (%d, initial `%s`): `%s`\n\n", len(states), s.Init, strings.Join(names, "`, `"))
-	b.WriteString("| # | From | Event | To | Transition | Guarded |\n")
-	b.WriteString("|---|------|-------|----|------------|--------|\n")
-	for i, t := range s.Transitions {
-		to := t.To
-		if to == Same {
-			to = t.From
-		}
-		guarded := ""
-		if t.Guard != nil {
-			guarded = "yes"
-		}
-		fmt.Fprintf(&b, "| %d | %s | %s | %s | %s | %s |\n", i+1, t.From, t.On, to, t.Name, guarded)
-	}
-	return b.String()
 }

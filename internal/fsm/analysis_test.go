@@ -1,7 +1,6 @@
 package fsm
 
 import (
-	"strings"
 	"testing"
 
 	"cnetverifier/internal/types"
@@ -21,87 +20,9 @@ func analysisSpec() *Spec {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	s := analysisSpec()
-	reach := s.Reachable()
-	for _, st := range []State{"A", "B", "C"} {
-		if !reach[st] {
-			t.Fatalf("%s unreachable", st)
-		}
-	}
-	if got := s.UnreachableStates(); len(got) != 0 {
-		t.Fatalf("unreachable = %v", got)
-	}
-}
-
-func TestUnreachableStates(t *testing.T) {
-	s := &Spec{
-		Name: "orphan",
-		Init: "A",
-		Transitions: []Transition{
-			{Name: "ab", From: "A", On: types.MsgPowerOn, To: "B"},
-			// X→Y exists but nothing ever reaches X.
-			{Name: "xy", From: "X", On: types.MsgPowerOff, To: "Y"},
-		},
-	}
-	got := s.UnreachableStates()
-	if len(got) != 2 || got[0] != "X" || got[1] != "Y" {
-		t.Fatalf("unreachable = %v, want [X Y]", got)
-	}
-}
-
-func TestDeadEndStates(t *testing.T) {
-	s := &Spec{
-		Name: "dead",
-		Init: "A",
-		Transitions: []Transition{
-			{Name: "ab", From: "A", On: types.MsgPowerOn, To: "B"},
-		},
-	}
-	got := s.DeadEndStates()
-	if len(got) != 1 || got[0] != "B" {
-		t.Fatalf("dead ends = %v, want [B]", got)
-	}
-	// A wildcard transition rescues every state.
-	if got := analysisSpec().DeadEndStates(); len(got) != 0 {
-		t.Fatalf("dead ends = %v, want none", got)
-	}
-}
-
 func TestEvents(t *testing.T) {
 	evs := analysisSpec().Events()
 	if len(evs) != 4 {
 		t.Fatalf("events = %v", evs)
-	}
-}
-
-func TestDOT(t *testing.T) {
-	out := analysisSpec().DOT()
-	for _, want := range []string{
-		"digraph \"analysis\"",
-		"peripheries=2",  // initial state marked
-		"\"A\" -> \"B\"", // plain edge
-		"style=dashed",   // guarded edge
-		"\"C\" -> \"C\"", // Same resolved to self-loop
-		"\"C\" -> \"A\"", // wildcard expanded
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	out := analysisSpec().Describe()
-	for _, want := range []string{"## analysis", "States (3, initial `A`)", "| 1 | A | PowerOn | B | ab |"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("describe missing %q:\n%s", want, out)
-		}
-	}
-	// Protocol association is included when set.
-	s := analysisSpec()
-	s.Proto = types.ProtoEMM
-	if !strings.Contains(s.Describe(), "TS24.301") {
-		t.Fatal("describe missing standard reference")
 	}
 }

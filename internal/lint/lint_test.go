@@ -82,6 +82,35 @@ func TestOverlap(t *testing.T) {
 	assertRule(t, lint.Spec(s, lint.Options{}), lint.RuleOverlap, lint.Warn, `"low"`)
 }
 
+// statesOf returns the states of the rule's findings, in report order.
+func statesOf(r *lint.Report, rule string) []string {
+	var out []string
+	for _, f := range r.ByRule(rule) {
+		out = append(out, f.State)
+	}
+	return out
+}
+
+// TestReachable: reachability expands wildcard sources, resolves Same
+// to a self-loop and crosses guarded edges, so every state of this spec
+// is reachable and none is a dead end; only C, entered solely through a
+// guarded edge, is flagged as guard-reachable.
+func TestReachable(t *testing.T) {
+	s := spec("reach",
+		fsm.Transition{Name: "ab", From: "A", On: types.MsgPowerOn, To: "B"},
+		fsm.Transition{Name: "bc", From: "B", On: types.MsgPowerOff, To: "C",
+			Guard: func(c fsm.Ctx, e fsm.Event) bool { return true }},
+		fsm.Transition{Name: "self", From: "C", On: types.MsgUserMove, To: fsm.Same},
+		fsm.Transition{Name: "reset", From: fsm.Any, On: types.MsgPeriodicTimer, To: "A"},
+	)
+	r := lint.Spec(s, lint.Options{})
+	assertNoRule(t, r, lint.RuleUnreachableState)
+	assertNoRule(t, r, lint.RuleDeadEndState)
+	if got := statesOf(r, lint.RuleGuardedReach); len(got) != 1 || got[0] != "C" {
+		t.Errorf("guard-reachable states = %v, want [C]", got)
+	}
+}
+
 func TestUnreachableState(t *testing.T) {
 	s := spec("unreach",
 		fsm.Transition{Name: "go", From: "A", On: types.MsgAttachRequest, To: "B"},

@@ -133,43 +133,60 @@ func commonProbe(a, b []int) (int, bool) {
 // transitions — if no guard is ever satisfiable at runtime the state is
 // dead despite being structurally reachable).
 func lintReachability(r *Report, o Options, s *fsm.Spec) {
-	for _, st := range s.UnreachableStates() {
-		r.add(o, Finding{Rule: RuleUnreachableState, Severity: Error, Spec: s.Name,
-			State:  string(st),
-			Detail: "no transition path from the initial state reaches this state"})
-	}
-	for _, st := range s.DeadEndStates() {
-		r.add(o, Finding{Rule: RuleDeadEndState, Severity: Warn, Spec: s.Name,
-			State:  string(st),
-			Detail: "reachable state with no outgoing transitions: the machine is stuck forever once there"})
-	}
-	// Guard-aware reachability: walk only unguarded edges.
-	adj := make(map[fsm.State][]fsm.State)
-	for _, e := range s.Edges() {
-		if !e.Guarded {
-			adj[e.From] = append(adj[e.From], e.To)
+	edges := s.Edges()
+	states := s.States()
+	reach := reachable(s.Init, edges, false)
+	for _, st := range states {
+		if !reach[st] {
+			r.add(o, Finding{Rule: RuleUnreachableState, Severity: Error, Spec: s.Name,
+				State:  string(st),
+				Detail: "no transition path from the initial state reaches this state"})
 		}
 	}
-	sure := map[fsm.State]bool{s.Init: true}
-	stack := []fsm.State{s.Init}
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nxt := range adj[st] {
-			if !sure[nxt] {
-				sure[nxt] = true
-				stack = append(stack, nxt)
-			}
+	outdeg := make(map[fsm.State]int)
+	for _, e := range edges {
+		outdeg[e.From]++
+	}
+	for st := range reach {
+		if outdeg[st] == 0 {
+			r.add(o, Finding{Rule: RuleDeadEndState, Severity: Warn, Spec: s.Name,
+				State:  string(st),
+				Detail: "reachable state with no outgoing transitions: the machine is stuck forever once there"})
 		}
 	}
-	reach := s.Reachable()
-	for _, st := range s.States() {
+	sure := reachable(s.Init, edges, true)
+	for _, st := range states {
 		if reach[st] && !sure[st] {
 			r.add(o, Finding{Rule: RuleGuardedReach, Severity: Info, Spec: s.Name,
 				State:  string(st),
 				Detail: "every path into this state crosses a guarded transition; if no guard is satisfiable the state is dead"})
 		}
 	}
+}
+
+// reachable returns the states reachable from init over the edges,
+// walking only the unguarded ones when unguardedOnly is set. With every
+// edge it over-approximates: a guarded edge is assumed traversable.
+func reachable(init fsm.State, edges []fsm.Edge, unguardedOnly bool) map[fsm.State]bool {
+	adj := make(map[fsm.State][]fsm.State)
+	for _, e := range edges {
+		if !unguardedOnly || !e.Guarded {
+			adj[e.From] = append(adj[e.From], e.To)
+		}
+	}
+	seen := map[fsm.State]bool{init: true}
+	stack := []fsm.State{init}
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nxt := range adj[st] {
+			if !seen[nxt] {
+				seen[nxt] = true
+				stack = append(stack, nxt)
+			}
+		}
+	}
+	return seen
 }
 
 // lintDupNames reports SPEC007: duplicate transition names, which merge

@@ -448,6 +448,26 @@ func TestNodeIDString(t *testing.T) {
 	}
 }
 
+// CSFB on OP-II (S3): after a call with data on, the hang-up leaves the
+// device in 3G with its return to 4G still owed.
+func TestCSFBStackStuckAfterCall(t *testing.T) {
+	w := NewWorld(1)
+	StandardStack(w, OPII(), FixSet{})
+	w.SetGlobal(names.GSys, int(types.Sys4G))
+	w.SetGlobal(names.GReg4G, 1)
+	w.InjectAt(0, names.UERRC4G, types.Message{Kind: types.MsgUserDataOn})
+	w.InjectAt(time.Second, names.UECM, types.Message{Kind: types.MsgUserDialCall})
+	w.RunUntil(10 * time.Second)
+	w.Inject(names.UECM, types.Message{Kind: types.MsgUserHangUp})
+	w.Run()
+	if w.Global(names.GWantReturn4G) != 1 {
+		t.Fatal("CSFB hang-up on OP-II left no pending return to 4G")
+	}
+	if got := types.System(w.Global(names.GSys)); got != types.Sys3G {
+		t.Fatalf("after CSFB call: %s, want stuck in 3G", got)
+	}
+}
+
 // VoLTE (§2's deployment alternative): the same call scenario that
 // strands a CSFB device on OP-II never leaves 4G.
 func TestVoLTEStackAvoidsS3(t *testing.T) {

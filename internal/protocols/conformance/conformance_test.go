@@ -1,7 +1,7 @@
 // Package conformance runs structural checks over every protocol spec
 // of Table 2 — the whole-family quality gate: specs validate, have no
-// unreachable or dead-end states, handle power-off, and their
-// documentation/DOT exports render.
+// unreachable or dead-end states, handle power-off, and their annotated
+// DOT export renders.
 package conformance
 
 import (
@@ -29,18 +29,22 @@ func TestAllSpecsValidate(t *testing.T) {
 	}
 }
 
+// No shipped spec has a state the initial state cannot reach (lint
+// rule SPEC004).
 func TestNoUnreachableStates(t *testing.T) {
 	for name, s := range specsUnderTest() {
-		if got := s.UnreachableStates(); len(got) != 0 {
-			t.Errorf("%s: unreachable states %v", name, got)
+		for _, f := range lint.Spec(s, lint.Options{}).ByRule(lint.RuleUnreachableState) {
+			t.Errorf("%s: %s", name, f)
 		}
 	}
 }
 
+// No shipped spec has a reachable state without outgoing transitions
+// (lint rule SPEC005).
 func TestNoDeadEndStates(t *testing.T) {
 	for name, s := range specsUnderTest() {
-		if got := s.DeadEndStates(); len(got) != 0 {
-			t.Errorf("%s: dead-end states %v", name, got)
+		for _, f := range lint.Spec(s, lint.Options{}).ByRule(lint.RuleDeadEndState) {
+			t.Errorf("%s: %s", name, f)
 		}
 	}
 }
@@ -78,15 +82,12 @@ func TestTable2Coverage(t *testing.T) {
 	}
 }
 
+// Every shipped spec renders as lint-annotated DOT (cnetlint -dot).
 func TestExportsRender(t *testing.T) {
 	for name, s := range specsUnderTest() {
-		dot := s.DOT()
+		dot := lint.DOT(s, lint.Spec(s, lint.Options{}))
 		if !strings.Contains(dot, "digraph") || !strings.Contains(dot, string(s.Init)) {
 			t.Errorf("%s: bad DOT output", name)
-		}
-		desc := s.Describe()
-		if !strings.Contains(desc, s.Name) || !strings.Contains(desc, "| From |") {
-			t.Errorf("%s: bad Describe output", name)
 		}
 	}
 }

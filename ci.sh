@@ -68,66 +68,6 @@ go run ./cmd/cnetlint -fail-on error >/dev/null
 go run ./cmd/cnetlint -fixed -fail-on error >/dev/null
 echo ok
 
-go build -o /tmp/cnetverify.$$ ./cmd/cnetverify
-
-echo "== POR gate (3-UE world: violation sets must match with and without -por) =="
-/tmp/cnetverify.$$ -world multiue -violations >/tmp/viol_plain.$$
-/tmp/cnetverify.$$ -world multiue -por -violations >/tmp/viol_por.$$
-cmp /tmp/viol_plain.$$ /tmp/viol_por.$$
-rm -f /tmp/viol_plain.$$ /tmp/viol_por.$$
-echo ok
-
-echo "== symmetry gate (shared-core 3-UE world: -sym and -por -sym must keep the violation set) =="
-/tmp/cnetverify.$$ -world multiue-shared -violations >/tmp/viol_plain.$$
-/tmp/cnetverify.$$ -world multiue-shared -sym -violations >/tmp/viol_sym.$$
-cmp /tmp/viol_plain.$$ /tmp/viol_sym.$$
-/tmp/cnetverify.$$ -world multiue-shared -por -violations >/tmp/viol_por.$$
-/tmp/cnetverify.$$ -world multiue-shared -por -sym -violations >/tmp/viol_porsym.$$
-cmp /tmp/viol_por.$$ /tmp/viol_porsym.$$
-rm -f /tmp/viol_plain.$$ /tmp/viol_sym.$$ /tmp/viol_por.$$ /tmp/viol_porsym.$$
-echo ok
-
-echo "== visited-table gate (exact mode: violation sets byte-identical across worker counts, every standard world) =="
-for world in s1 s2 s3 s4cs s4ps s6 multiue multiue-shared; do
-    /tmp/cnetverify.$$ -world "$world" -violations >/tmp/viol_w1.$$
-    /tmp/cnetverify.$$ -world "$world" -workers 4 -violations >/tmp/viol_w4.$$
-    /tmp/cnetverify.$$ -world "$world" -workers 8 -violations >/tmp/viol_w8.$$
-    cmp /tmp/viol_w1.$$ /tmp/viol_w4.$$
-    cmp /tmp/viol_w1.$$ /tmp/viol_w8.$$
-done
-rm -f /tmp/viol_w1.$$ /tmp/viol_w4.$$ /tmp/viol_w8.$$
-echo ok
-
-echo "== timing gate (degenerate virtual time: violation sets byte-identical to untimed, every standard world x reduction x worker count) =="
-for world in s1 s2 s3 s4cs s4ps s6 multiue multiue-shared; do
-    /tmp/cnetverify.$$ -world "$world" -violations >/tmp/viol_ref.$$
-    for mode in "" "-por" "-sym"; do
-        for w in 1 4 8; do
-            # shellcheck disable=SC2086 # $mode is intentionally word-split
-            /tmp/cnetverify.$$ -world "$world" -timing -timing-profile degenerate $mode -workers "$w" -violations >/tmp/viol_timed.$$
-            cmp /tmp/viol_ref.$$ /tmp/viol_timed.$$
-        done
-    done
-done
-rm -f /tmp/viol_ref.$$ /tmp/viol_timed.$$
-echo ok
-
-echo "== layered-engine gate (bfs summary line — states, transitions, verdict — byte-identical at 1, 2 and 8 workers) =="
-# The -sym runs key the visited table canonically while the frontier
-# holds plain keys.
-for args in "-world multiue-shared" "-world s6" "-world s1 -timing" \
-    "-world multiue-shared -sym" "-world s6 -timing -sym"; do
-    # shellcheck disable=SC2086 # $args is intentionally word-split
-    /tmp/cnetverify.$$ $args -strategy bfs -workers 1 >/tmp/sum_w1.$$
-    for w in 2 8; do
-        # shellcheck disable=SC2086
-        /tmp/cnetverify.$$ $args -strategy bfs -workers "$w" >/tmp/sum_wn.$$
-        cmp /tmp/sum_w1.$$ /tmp/sum_wn.$$
-    done
-done
-rm -f /tmp/cnetverify.$$ /tmp/sum_w1.$$ /tmp/sum_wn.$$
-echo ok
-
 echo "== visited-table race leg x20 (shard locks: claims, min-depth merges, shard growth, MaxStates and Budget caps) =="
 go test -race -count=20 -run 'TestVTableRaceHammer|TestVTableConcurrentCaps' ./internal/check
 
@@ -144,11 +84,11 @@ go test -race -count=5 -run 'TestInternerConcurrent|TestKeyFingerprintIndependen
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/netemu ./internal/emu ./internal/fixes
 
-echo "== go test -race (parallel engine + determinism suite) =="
+echo "== go test -race (parallel engine + engine-equivalence oracle) =="
 go test -race ./internal/check ./internal/core
 
-echo "== go test -race x5 (layered engine: chunk claims, layer barrier, mid-layer stop; ~3 min a pass) =="
-go test -race -count=5 -timeout 30m -run 'TestParallel' ./internal/check
+echo "== go test -race x5 (layered engine: chunk claims, layer barrier, mid-layer stop; the oracle's race-sized grid) =="
+go test -race -count=5 -timeout 30m -run 'TestEngineEquivalence|TestParallel' ./internal/core ./internal/check
 
 echo "== go test -race (sweep campaign engine) =="
 go test -race ./internal/validate

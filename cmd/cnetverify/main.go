@@ -39,9 +39,10 @@
 // realistic windows — this reaches timing-only violations the untimed
 // scenario never offers. -timing-profile degenerate arms zero-width
 // always-fireable windows instead, which is provably equivalent to
-// untimed screening: the ci.sh timing gate byte-compares its
-// -violations output against untimed runs across every standard world,
-// reduction and worker count. Composes with -por, -sym and -workers.
+// untimed screening: its -violations output equals the untimed run's
+// (internal/core's TestEngineEquivalence checks that in-process on
+// every standard world, reduction and engine). Composes with -por,
+// -sym and -workers.
 //
 // -stats prints, per world, the visited-table diagnostics (slot
 // occupancy, growth count, probe-length histogram, the bytes of state
@@ -108,7 +109,7 @@ func main() {
 		onlyViol = flag.Bool("violations", false, "print only the canonical violation set (sorted property/description lines), for byte-comparing runs")
 		stats    = flag.Bool("stats", false, "print per-world visited-table statistics (occupancy, probe histogram, key arena bytes, interned components), the widest frontier layer and the process memory high-water mark")
 		timing   = flag.Bool("timing", false, "discrete virtual time: model periodic protocol timers as first-class [earliest, latest] expiry windows (see -timing-profile)")
-		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening — the ci.sh differential gate)")
+		timProf  = flag.String("timing-profile", "nas", "timer-window derivation: nas (realistic T3412/T3212/T3312 windows) or degenerate (zero-width windows, provably equivalent to untimed screening)")
 		workers  = flag.Int("workers", 1, "exploration workers per world (>1 = layered breadth-first engine for dfs and bfs alike; walk splits its walks)")
 		parallel = flag.Int("parallel", 1, "worlds screened concurrently")
 		budget   = flag.Int("budget", 0, "shared distinct-state budget across the campaign (0 = none)")
@@ -223,8 +224,8 @@ func main() {
 		// POR runs explore cluster projections, so step counts and
 		// counterexample paths legitimately differ from plain runs;
 		// the (world, property, description) set is the engine's
-		// determinism contract, and this mode prints exactly that so
-		// ci.sh can diff a -por run against a plain run byte for byte.
+		// determinism contract, and this mode prints exactly that so a
+		// -por run can be diffed against a plain run byte for byte.
 		var lines []string
 		for _, r := range results {
 			f, _ := core.FindingByID(r.Finding)

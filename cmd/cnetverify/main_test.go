@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,5 +105,33 @@ func TestRetiredFlagRefused(t *testing.T) {
 	code, out, stderr := cnetverify(t, "-world", "s1", "-compact")
 	if code != 2 || out != "" || !strings.Contains(stderr, "flag provided but not defined: -compact") {
 		t.Errorf("exit %d, stdout %q, stderr %q; want flag's exit 2", code, out, stderr)
+	}
+}
+
+// TestReductionFlagsKeepViolations: -timing -timing-profile degenerate,
+// -por, -sym and -workers together print the plain run's -violations.
+func TestReductionFlagsKeepViolations(t *testing.T) {
+	_, plain, _ := cnetverify(t, "-world", "s2", "-violations")
+	code, reduced, stderr := cnetverify(t, "-world", "s2", "-timing", "-timing-profile", "degenerate",
+		"-por", "-sym", "-workers", "4", "-violations")
+	if plain == "" || code != 0 || reduced != plain {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nplain run's:\n%s", code, stderr, reduced, plain)
+	}
+}
+
+// TestSymFlagReduces: -sym reaches the engine — on the shared-core
+// world it screens fewer states than the same run without it.
+func TestSymFlagReduces(t *testing.T) {
+	statesOf := func(args ...string) int {
+		_, out, _ := cnetverify(t, append([]string{"-world", "multiue-shared", "-stats"}, args...)...)
+		m := regexp.MustCompile(`states=(\d+)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%v: no states count in %q", args, out)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	if sym, plain := statesOf("-sym"), statesOf(); sym >= plain {
+		t.Errorf("-sym screened %d states, the plain run %d; want fewer", sym, plain)
 	}
 }

@@ -84,7 +84,13 @@ func (s Strategy) String() string {
 	}
 }
 
-// Options bounds and configures a checking run.
+// Options bounds and configures a checking run. Whether a run is timed
+// is a property of the world, not an option: on a world with
+// virtual-time timers (model.World.EnableTiming) the model's
+// StepsAppend includes StepTimer transitions, with the zone-abstracted
+// windows in the state encoding, so every engine, POR cluster
+// projection and symmetry quotient enumerates the admissible
+// expiry-vs-delivery orderings as ordinary steps.
 type Options struct {
 	// Strategy selects DFS (default), BFS or RandomWalk. DFS and BFS
 	// visit the same states and report the same violation set; they
@@ -173,17 +179,6 @@ type Options struct {
 	// descriptor and canonicalize within each cluster, and the closure
 	// runs once at the top level over the full world's descriptor.
 	Symmetry bool
-	// Timing acknowledges a world with virtual-time timers
-	// (model.World.EnableTiming): the engines then enumerate the
-	// admissible expiry-vs-delivery orderings as ordinary steps (the
-	// model's StepsAppend includes StepTimer transitions, with the
-	// zone-abstracted windows in the state encoding, so every engine,
-	// POR cluster projection and symmetry quotient explores them
-	// unchanged). Running a timed world without Timing set is an error
-	// — the silent alternative would be exploring timed worlds whose
-	// timer steps the caller never asked for. On an untimed world the
-	// flag is a no-op.
-	Timing bool
 	// Budget optionally shares a pool of distinct-state tokens across
 	// several runs (a screening campaign's global bound). When the pool
 	// dries up the run truncates, exactly like MaxStates.
@@ -200,7 +195,7 @@ type Options struct {
 func (o Options) IsZero() bool {
 	return o.Strategy == DFS && o.MaxDepth == 0 && o.MaxStates == 0 &&
 		!o.StopAtFirst && !o.Paranoid && !o.SkipLint && o.LintSuppress == nil &&
-		o.Walks == 0 && o.Seed == 0 && !o.POR && !o.Symmetry && !o.Timing &&
+		o.Walks == 0 && o.Seed == 0 && !o.POR && !o.Symmetry &&
 		o.Workers == 0 && o.Budget == nil && o.Cancel == nil
 }
 
@@ -287,8 +282,10 @@ type Result struct {
 	Dropped   int
 	// Visited describes the visited table after the run — occupancy,
 	// probe-length histogram, key bytes, interned components (see
-	// VisitedStats). Live, Slots, Grows and Components repeat at any
-	// worker count; key bytes and probe displacements do not.
+	// VisitedStats). Live, Slots, Grows and — without Symmetry, whose
+	// workers intern whichever orbit member they claim first —
+	// Components repeat at any worker count; key bytes and probe
+	// displacements do not.
 	Visited *VisitedStats
 }
 
@@ -326,9 +323,6 @@ func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, e
 	opt = opt.withDefaults()
 	if opt.MaxDepth > vtDepthMax {
 		return nil, fmt.Errorf("check: MaxDepth %d exceeds the visited table's depth limit %d", opt.MaxDepth, vtDepthMax)
-	}
-	if w.TimingEnabled() && !opt.Timing {
-		return nil, fmt.Errorf("check: world has virtual-time timers; set Options.Timing to enumerate timed schedules")
 	}
 	if sc == nil {
 		sc = ScenarioFunc(func(*model.World) []model.EnvEvent { return nil })

@@ -29,7 +29,7 @@ import (
 // workers (what each goroutine owns). Sequential DFS, and every driver
 // at one worker, runs on the caller's goroutine.
 //
-// Determinism contract (asserted by TestParallelDeterminism). The
+// Determinism contract (asserted by core's TestEngineEquivalence). The
 // layered search finishes a layer before the next one starts, so every
 // state is claimed in the visited table at its minimal depth and
 // expanded exactly once, whichever worker gets there first. For the
@@ -37,7 +37,9 @@ import (
 // worker count:
 //
 //   - States, Transitions, MaxDepth, MaxFrontier, Truncated, Misrouted,
-//     Dropped and the Covered counts;
+//     Dropped and the Covered counts — under Symmetry only their total:
+//     a worker expands whichever member of an orbit it claims first, so
+//     which replica's labels count a transition follows claim order;
 //   - the violation set (property, description pairs) and the length
 //     of each counterexample — a violation is captured in the first
 //     layer that shows it.

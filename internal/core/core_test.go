@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -314,5 +315,20 @@ func TestS1EssentialEvents(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("essential set missing %s: %v", want, essential)
 		}
+	}
+}
+
+// TestWithTimingLeavesInputUntimed: WithTiming times a copy, so the
+// caller's world still screens exactly as it did before.
+func TestWithTimingLeavesInputUntimed(t *testing.T) {
+	s := S2World(false)
+	before := screenOne(t, s)
+	for _, profile := range []TimingProfile{TimingDegenerate, TimingNAS} {
+		if ts, err := WithTiming(s, profile); err != nil || !ts.World.TimingEnabled() || s.World.TimingEnabled() {
+			t.Fatalf("profile %d: err %v; want a timed copy and an untimed input", profile, err)
+		}
+	}
+	if after := screenOne(t, s); !reflect.DeepEqual(after.Result, before.Result) {
+		t.Errorf("screening the input after WithTiming differs:\n got %+v\nwant %+v", after.Result, before.Result)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // This is the scaling shape the paper hits when screening multi-device
 // scenarios (§7: several UEs under one SGSN interact only through
 // shared infrastructure, not through each other's NAS state), and the
-// world the ci POR gate screens.
+// world POR's reduction is measured on.
 func MultiUEWorld(n int, fixed bool) Scoped {
 	if n < 1 {
 		panic(fmt.Sprintf("core: MultiUEWorld: need at least 1 UE, got %d", n))

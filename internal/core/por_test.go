@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -22,48 +21,13 @@ func violationSet(res *check.Result) []string {
 	return out
 }
 
-func runWith(t *testing.T, sc Scoped, por bool, workers int) *check.Result {
-	t.Helper()
-	opt := sc.Options
-	opt.POR = por
-	opt.Workers = workers
-	res, err := check.Run(sc.World, sc.Props, sc.Scenario, opt)
-	if err != nil {
-		t.Fatalf("check.Run(por=%v, workers=%d): %v", por, workers, err)
-	}
-	return res
-}
-
-// TestPORViolationSetsMatchStandardWorlds is the S1–S6 golden gate of
-// the POR acceptance criteria: over every standard world (defective
-// and fixed variants), the violation set with POR enabled is identical
-// to the violation set with POR disabled.
-func TestPORViolationSetsMatchStandardWorlds(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		fixed := fixed
-		for _, name := range WorldNames() {
-			name := name
-			t.Run(fmt.Sprintf("%s/fixed=%v", name, fixed), func(t *testing.T) {
-				plain := runWith(t, StandardWorlds(fixed)[name], false, 1)
-				por := runWith(t, StandardWorlds(fixed)[name], true, 1)
-				if got, want := violationSet(por), violationSet(plain); !reflect.DeepEqual(got, want) {
-					t.Errorf("POR changes the violation set:\n  por:   %q\n  plain: %q", got, want)
-				}
-				if por.States > plain.States {
-					t.Errorf("POR visited more states than the plain run: %d > %d", por.States, plain.States)
-				}
-			})
-		}
-	}
-}
-
 // TestPORSingleClusterIdentical pins the fall-through contract: on a
 // world the effect analysis cannot decompose (the S1 stacks are
 // coupled through g.sys/g.pdp/g.eps), POR is the identity — the full
 // Result matches field for field, paths included.
 func TestPORSingleClusterIdentical(t *testing.T) {
-	plain := runWith(t, S1World(false), false, 1)
-	por := runWith(t, S1World(false), true, 1)
+	plain := screenCell(t, S1World(false), reduction{}, registry)
+	por := screenCell(t, S1World(false), reduction{por: true}, registry)
 	if !reflect.DeepEqual(plain, por) {
 		t.Errorf("single-cluster POR run differs from plain run:\nplain: %+v\npor:   %+v", plain, por)
 	}
@@ -73,8 +37,8 @@ func TestPORSingleClusterIdentical(t *testing.T) {
 // 3-UE world the cluster decomposition must find the same violations
 // while visiting at least 5× fewer states.
 func TestPORMultiUEReduction(t *testing.T) {
-	plain := runWith(t, MultiUEWorld(3, false), false, 1)
-	por := runWith(t, MultiUEWorld(3, false), true, 1)
+	plain := screenCell(t, MultiUEWorld(3, false), reduction{}, registry)
+	por := screenCell(t, MultiUEWorld(3, false), reduction{por: true}, registry)
 
 	if got, want := violationSet(por), violationSet(plain); !reflect.DeepEqual(got, want) {
 		t.Fatalf("POR changes the 3-UE violation set:\n  por:   %q\n  plain: %q", got, want)
@@ -103,24 +67,10 @@ func TestPORMultiUEReduction(t *testing.T) {
 // the 3-UE world has no violations, under both engines.
 func TestPORFixedMultiUEClean(t *testing.T) {
 	for _, por := range []bool{false, true} {
-		res := runWith(t, MultiUEWorld(3, true), por, 1)
+		res := screenCell(t, MultiUEWorld(3, true), reduction{por: por}, registry)
 		if len(res.Violations) != 0 {
 			t.Errorf("fixed 3-UE world (por=%v): got %d violations, want 0", por, len(res.Violations))
 		}
-	}
-}
-
-// TestPORParallelDeterminism extends the parallel determinism contract
-// to POR runs: workers=1 and workers=8 report the same states count
-// and violation set on the decomposed world.
-func TestPORParallelDeterminism(t *testing.T) {
-	seq := runWith(t, MultiUEWorld(2, false), true, 1)
-	par := runWith(t, MultiUEWorld(2, false), true, 8)
-	if seq.States != par.States {
-		t.Errorf("states differ across workers: seq=%d par=%d", seq.States, par.States)
-	}
-	if got, want := violationSet(par), violationSet(seq); !reflect.DeepEqual(got, want) {
-		t.Errorf("violation sets differ across workers:\n  seq: %q\n  par: %q", want, got)
 	}
 }
 

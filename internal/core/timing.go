@@ -20,8 +20,8 @@ const (
 	// always-fireable periodic timer is behaviorally identical to an
 	// always-offered env event (same enabled transitions, constant
 	// clock and armed set), so the timed state graph is isomorphic to
-	// the untimed one — the ci.sh differential gate byte-compares the
-	// violation sets to pin that equivalence.
+	// the untimed one — TestEngineEquivalence compares the two screens
+	// of every world the profile changes to pin that equivalence.
 	TimingDegenerate TimingProfile = iota
 	// TimingNAS arms the periodic NAS timers (TAU T3412, LU T3212,
 	// RAU T3312) with distinct non-trivial [earliest, latest] windows
@@ -87,10 +87,10 @@ func untimed(evs []model.EnvEvent, owned map[string]bool) []model.EnvEvent {
 }
 
 // WithTiming converts a scoped world to discrete virtual time under the
-// given profile: it attaches timer definitions to the world, replaces
-// the scenario's periodic env events for timer-owning processes with
-// the timers, and sets Options.Timing. A world with no periodic
-// behavior is returned unchanged (still untimed).
+// given profile: it attaches timer definitions to a copy of the world
+// and replaces the scenario's periodic env events for timer-owning
+// processes with the timers. The input is not mutated, and a world
+// with no periodic behavior is returned unchanged (still untimed).
 func WithTiming(s Scoped, profile TimingProfile) (Scoped, error) {
 	var defs []model.TimerDef
 	owned := make(map[string]bool)
@@ -133,15 +133,16 @@ func WithTiming(s Scoped, profile TimingProfile) (Scoped, error) {
 	if len(defs) == 0 {
 		return s, nil
 	}
-	if err := s.World.EnableTiming(defs); err != nil {
+	w := s.World.Clone()
+	if err := w.EnableTiming(defs); err != nil {
 		return Scoped{}, fmt.Errorf("core: timing %s: %w", s.Finding, err)
 	}
+	s.World = w
 	// A static scenario is filtered once, here, and stays static.
 	if static, ok := s.Scenario.(check.StaticScenario); ok {
 		s.Scenario = check.StaticScenario(untimed(static, owned))
 	} else {
 		s.Scenario = timedScenario{inner: s.Scenario, owned: owned}
 	}
-	s.Options.Timing = true
 	return s, nil
 }

@@ -31,7 +31,8 @@ import (
 //     exploration. Discard-fires of periodic zero-width ([0,0]) timers
 //     are suppressed entirely — they would be byte-identical self-loops
 //     — which is what makes the degenerate-bounds configuration's state
-//     graph isomorphic to the untimed one (the ci.sh differential gate).
+//     graph isomorphic to the untimed one (core's TestEngineEquivalence
+//     compares the two).
 //
 // Worlds without EnableTiming are entirely unaffected: their encodings,
 // step enumeration and apply paths are byte-for-byte what they were.

@@ -34,6 +34,87 @@ func violationKeys(res *check.Result) []string {
 	return keys
 }
 
+// TestParallelDeterminism asserts the engine's determinism contract on
+// every standard world plus the 3-UE shared-core world: a sequential
+// run and parallel runs with 1, 2 and 8 workers agree on the
+// distinct-state count, the violation set and the per-process spec
+// coverage; and on the search worlds the runs with 2 and 8 workers
+// equal sequential BFS on everything that counts work — transitions,
+// depth, truncation, message losses, the widest frontier layer and
+// per-transition coverage counts, and on the visited-table stats that
+// depend only on the state set (Live, Slots, Grows, Components). Two
+// sequential DFS runs return equal visited-table stats.
+func TestParallelDeterminism(t *testing.T) {
+	worlds := core.StandardWorlds(false)
+	worlds["multiue-shared3"] = core.MultiUEWorldShared(3, false)
+	for _, name := range append(core.WorldNames(), "multiue-shared3") {
+		s := worlds[name]
+		t.Run(name, func(t *testing.T) {
+			base, err := core.Screen(s, check.Options{})
+			if err != nil {
+				t.Fatalf("sequential screen: %v", err)
+			}
+			wantKeys := violationKeys(base.Result)
+			wantCov := check.SpecCoverage(s.World, base.Result)
+			again, err := core.Screen(s, check.Options{})
+			if err != nil {
+				t.Fatalf("second sequential screen: %v", err)
+			}
+			if !reflect.DeepEqual(again.Result.Visited, base.Result.Visited) {
+				t.Errorf("visited stats differ between two sequential runs:\n%v\n%v", again.Result.Visited, base.Result.Visited)
+			}
+
+			var seq *check.Result
+			if s.Options.Strategy != check.RandomWalk {
+				opt := s.Options
+				opt.Strategy, opt.Workers = check.BFS, 1
+				r, err := core.Screen(s, opt)
+				if err != nil {
+					t.Fatalf("sequential BFS screen: %v", err)
+				}
+				seq = r.Result
+			}
+
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					opt := s.Options
+					opt.Workers = workers
+					r, err := core.Screen(s, opt)
+					if err != nil {
+						t.Fatalf("screen with %d workers: %v", workers, err)
+					}
+					if got := violationKeys(r.Result); !reflect.DeepEqual(got, wantKeys) {
+						t.Errorf("violation set mismatch:\n got %q\nwant %q", got, wantKeys)
+					}
+					if r.Result.States != base.Result.States {
+						t.Errorf("states = %d, want %d", r.Result.States, base.Result.States)
+					}
+					if got := check.SpecCoverage(s.World, r.Result); !reflect.DeepEqual(got, wantCov) {
+						t.Errorf("spec coverage mismatch:\n got %+v\nwant %+v", got, wantCov)
+					}
+					if seq == nil || workers == 1 {
+						return
+					}
+					got, want := *r.Result, *seq
+					if got.Transitions != want.Transitions || got.MaxDepth != want.MaxDepth || got.Truncated != want.Truncated ||
+						got.Misrouted != want.Misrouted || got.Dropped != want.Dropped || got.MaxFrontier != want.MaxFrontier {
+						t.Errorf("transitions/depth/truncated/misrouted/dropped/frontier = %d/%d/%v/%d/%d/%d, sequential run has %d/%d/%v/%d/%d/%d",
+							got.Transitions, got.MaxDepth, got.Truncated, got.Misrouted, got.Dropped, got.MaxFrontier,
+							want.Transitions, want.MaxDepth, want.Truncated, want.Misrouted, want.Dropped, want.MaxFrontier)
+					}
+					if !reflect.DeepEqual(got.Covered, want.Covered) {
+						t.Errorf("coverage counts differ from the sequential run:\n got %v\nwant %v", got.Covered, want.Covered)
+					}
+					if g, w := got.Visited, want.Visited; g == nil || w == nil ||
+						g.Live != w.Live || g.Slots != w.Slots || g.Grows != w.Grows || g.Components != w.Components {
+						t.Errorf("visited live/slots/grows/components differ from the sequential run:\n got %v\nwant %v", g, w)
+					}
+				})
+			}
+		})
+	}
+}
+
 // TestSequentialBFSPins pins Strategy BFS at one worker on the six
 // finding worlds to the values the queue-based BFS engine reported
 // before the layered engine replaced it, so the one-worker path is

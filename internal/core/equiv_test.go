@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cnetverifier/internal/check"
@@ -29,7 +30,7 @@ var (
 // oracleRow is one world of the grid and the reductions it is screened
 // under; ues is a defective multi-UE world's UE count, and wide marks
 // the defective rows, whose plain untimed cell also runs the layered
-// engine at 2 and 4 workers and whose reference runs twice.
+// engine at 4 workers.
 type oracleRow struct {
 	name       string
 	s          Scoped
@@ -49,7 +50,7 @@ func (row oracleRow) engines(red reduction, timed bool) []engine {
 		es = append(es, bfs1)
 	}
 	if row.wide && red == (reduction{}) && !timed {
-		es = append(es, engine{workers: 2}, engine{workers: 4})
+		es = append(es, engine{workers: 4})
 	}
 	return append(es, engine{workers: 8})
 }
@@ -63,9 +64,7 @@ func (row oracleRow) engines(red reduction, timed bool) []engine {
 func oracleGrid(t *testing.T) []oracleRow {
 	var rows []oracleRow
 	for _, fixed := range []bool{false, true} {
-		worlds := StandardWorlds(fixed)
-		worlds["multiue2"] = MultiUEWorld(2, fixed)
-		worlds["multiue-shared3"] = MultiUEWorldShared(3, fixed)
+		worlds := gridWorlds(fixed)
 		ues := map[string]int{"multiue": 3, "multiue2": 2, "multiue-shared": 2, "multiue-shared3": 3}
 		for _, name := range append(WorldNames(), "multiue2", "multiue-shared3") {
 			row := oracleRow{name: name, s: worlds[name], reductions: allReductions, ues: ues[name], wide: !fixed}
@@ -78,7 +77,7 @@ func oracleGrid(t *testing.T) []oracleRow {
 				row.reductions = plainOnly
 			}
 			if fixed {
-				row.name, row.ues = name+"-fixed", 0
+				row.name, row.ues = rowName(name, fixed), 0
 			}
 			rows = append(rows, row)
 		}
@@ -98,6 +97,73 @@ func oracleGrid(t *testing.T) []oracleRow {
 		rows = append(rows, nas)
 	}
 	return rows
+}
+
+// gridWorlds returns the standard worlds plus the 2-UE independent
+// and 3-UE shared-core worlds, keyed by the grid's names for them.
+func gridWorlds(fixed bool) map[string]Scoped {
+	worlds := StandardWorlds(fixed)
+	worlds["multiue2"] = MultiUEWorld(2, fixed)
+	worlds["multiue-shared3"] = MultiUEWorldShared(3, fixed)
+	return worlds
+}
+
+// rowName names the grid row of gridWorlds(fixed)[name].
+func rowName(name string, fixed bool) string {
+	if fixed {
+		return name + "-fixed"
+	}
+	return name
+}
+
+// multiUEName is the gridWorlds name of the n-UE independent (or
+// shared-core) world; n is 2 or 3.
+func multiUEName(shared bool, n int) string {
+	switch {
+	case shared && n == 2:
+		return "multiue-shared"
+	case shared:
+		return "multiue-shared3"
+	case n == 3:
+		return "multiue"
+	}
+	return "multiue2"
+}
+
+// cellKey names one screen: a grid row, whether its world is the
+// degenerate-timed copy, the reduction and the engine.
+type cellKey struct {
+	row   string
+	timed bool
+	red   reduction
+	e     engine
+}
+
+// screened holds every cell screened so far by this test binary, so
+// that each cell is screened once: the tests below the oracle, named
+// after the matrices it grew out of, compare the oracle's own results
+// and screen only the cells it does not have.
+var screened = struct {
+	sync.Mutex
+	m map[cellKey]*check.Result
+}{m: map[cellKey]*check.Result{}}
+
+// cell returns the result of screening s, the world of the given row
+// (its degenerate-timed copy if timed), under one reduction and
+// engine, screening it on first use.
+func cell(t *testing.T, row string, s Scoped, timed bool, red reduction, e engine) *check.Result {
+	t.Helper()
+	k := cellKey{row, timed, red, e}
+	screened.Lock()
+	r, ok := screened.m[k]
+	screened.Unlock()
+	if !ok {
+		r = screenCell(t, s, red, e)
+		screened.Lock()
+		screened.m[k] = r
+		screened.Unlock()
+	}
+	return r
 }
 
 // work is what a layered run must repeat of sequential BFS: the counts
@@ -130,9 +196,11 @@ func workOf(r *check.Result) work {
 //	    world does sequential BFS's work, and degenerate-timed BFS
 //	    its untimed twin's;
 //	(d) within one (reduction, timing), every engine covers the same
-//	    spec transitions;
-//	(e) on the defective worlds, two runs of the reference report equal
-//	    visited-table stats.
+//	    spec transitions.
+//
+// check.TestParallelDeterminism adds the layered engine at 2 workers
+// and a second run of the reference on the defective standard worlds
+// and the 3-UE shared-core world.
 func TestEngineEquivalence(t *testing.T) {
 	for _, row := range oracleGrid(t) {
 		t.Run(row.name, func(t *testing.T) {
@@ -159,12 +227,7 @@ func screenCell(t *testing.T, s Scoped, red reduction, e engine) *check.Result {
 
 func checkRow(t *testing.T, row oracleRow) {
 	refEngine := row.engines(reduction{}, false)[0]
-	ref := screenCell(t, row.s, reduction{}, refEngine)
-	if row.wide && refEngine == registry && !raceEnabled {
-		if again := screenCell(t, row.s, reduction{}, registry); !reflect.DeepEqual(again.Visited, ref.Visited) {
-			t.Errorf("%s: visited stats differ between two sequential runs:\n%v\n%v", row.name, again.Visited, ref.Visited)
-		}
-	}
+	ref := cell(t, row.name, row.s, false, reduction{}, refEngine)
 	want := violationSet(ref)
 	if row.ues > 0 && len(want) != row.ues {
 		t.Errorf("%s: defective %d-UE world reports %d violations, want one per UE", row.name, row.ues, len(want))
@@ -183,23 +246,20 @@ func checkRow(t *testing.T, row oracleRow) {
 			var bfs work
 			var cov map[string]check.CoverageReport
 			for _, e := range row.engines(red, ti > 0) {
-				cell := fmt.Sprintf("%s/%s/%+v/%+v", row.name, [...]string{"untimed", "degenerate"}[ti], red, e)
-				r := ref
-				if ti > 0 || red != (reduction{}) || e != refEngine {
-					r = screenCell(t, s, red, e)
-				}
+				name := fmt.Sprintf("%s/%s/%+v/%+v", row.name, [...]string{"untimed", "degenerate"}[ti], red, e)
+				r := cell(t, row.name, s, ti > 0, red, e)
 				if got := violationSet(r); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: violation set differs from the plain sequential run:\n got %q\nwant %q", cell, got, want)
+					t.Errorf("%s: violation set differs from the plain sequential run:\n got %q\nwant %q", name, got, want)
 				}
 				if n, ok := states[red]; !ok {
 					states[red] = r.States
 				} else if r.States != n {
-					t.Errorf("%s: states = %d, the reduction's first cell has %d", cell, r.States, n)
+					t.Errorf("%s: states = %d, the reduction's first cell has %d", name, r.States, n)
 				}
 				if c := check.SpecCoverage(s.World, r); cov == nil {
 					cov = c
 				} else if !reflect.DeepEqual(c, cov) {
-					t.Errorf("%s: spec coverage differs from the first engine's:\n got %+v\nwant %+v", cell, c, cov)
+					t.Errorf("%s: spec coverage differs from the first engine's:\n got %+v\nwant %+v", name, c, cov)
 				}
 				if e == registry || row.s.Options.Strategy == check.RandomWalk {
 					continue
@@ -223,7 +283,7 @@ func checkRow(t *testing.T, row oracleRow) {
 					w.Covered, w.Components = base.Covered, base.Components
 				}
 				if !reflect.DeepEqual(w, base) {
-					t.Errorf("%s: work differs from sequential BFS's:\n got %+v\nwant %+v", cell, w, base)
+					t.Errorf("%s: work differs from sequential BFS's:\n got %+v\nwant %+v", name, w, base)
 				}
 			}
 		}
@@ -231,6 +291,150 @@ func checkRow(t *testing.T, row oracleRow) {
 	for _, red := range row.reductions {
 		if unreduced := (reduction{sym: red.sym}); red.por && states[red] > states[unreduced] {
 			t.Errorf("%s: %+v visits %d states, more than %+v's %d", row.name, red, states[red], unreduced, states[unreduced])
+		}
+	}
+}
+
+// symTestN sizes the multi-UE matrices below: three UEs normally, two
+// under the race detector, where the grid screens the 3-UE worlds only
+// defective and unreduced. The n=2 worlds drive the identical code
+// paths (multi-replica canonicalization, closure, parallel engine)
+// over a 34² product.
+func symTestN() int {
+	if raceEnabled {
+		return 2
+	}
+	return 3
+}
+
+// TestDegenerateTimingMatchesUntimed: a degenerate timing profile
+// (zero-width periodic windows standing in for the scenario's periodic
+// env events) must reproduce the untimed violation set on every
+// standard world, under every reduction and worker count. The timed
+// state graph is isomorphic to the untimed one — see TimingDegenerate
+// — so any drift here is an engine bug, not a model difference. On the
+// worlds WithTiming leaves unchanged (all but s2 and full) the timed
+// screen is the untimed one.
+func TestDegenerateTimingMatchesUntimed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("screens every standard world 18 times")
+	}
+	for _, name := range WorldNames() {
+		// Under the race detector keep only the small worlds: the timed
+		// parallel engine's shared paths are identical everywhere, and
+		// the grid screens degenerate-timed s2 at 8 workers.
+		if raceEnabled {
+			switch name {
+			case "s1", "s4cs", "s4ps", "multiue-shared":
+			default:
+				continue
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			us := StandardWorlds(false)[name]
+			ts, err := WithTiming(us, TimingDegenerate)
+			if err != nil {
+				t.Fatalf("WithTiming: %v", err)
+			}
+			timed := ts.World != us.World
+			for _, red := range []reduction{{}, {por: true}, {sym: true}} {
+				for _, workers := range []int{1, 4, 8} {
+					e := engine{workers: workers}
+					untimed := violationSet(cell(t, name, us, false, red, e))
+					if got := violationSet(cell(t, name, ts, timed, red, e)); !reflect.DeepEqual(got, untimed) {
+						t.Errorf("%+v/workers=%d: degenerate-timed violation set diverged from untimed:\n got %q\nwant %q",
+							red, workers, got, untimed)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPORViolationSetsMatchStandardWorlds is the S1–S6 golden gate of
+// the POR acceptance criteria: over every standard world (defective
+// and fixed variants), the violation set with POR enabled is identical
+// to the violation set with POR disabled.
+func TestPORViolationSetsMatchStandardWorlds(t *testing.T) {
+	for _, fixed := range []bool{false, true} {
+		for _, name := range WorldNames() {
+			t.Run(fmt.Sprintf("%s/fixed=%v", name, fixed), func(t *testing.T) {
+				s, row := StandardWorlds(fixed)[name], rowName(name, fixed)
+				plain := cell(t, row, s, false, reduction{}, registry)
+				por := cell(t, row, s, false, reduction{por: true}, registry)
+				if got, want := violationSet(por), violationSet(plain); !reflect.DeepEqual(got, want) {
+					t.Errorf("POR changes the violation set:\n  por:   %q\n  plain: %q", got, want)
+				}
+				if por.States > plain.States {
+					t.Errorf("POR visited more states than the plain run: %d > %d", por.States, plain.States)
+				}
+			})
+		}
+	}
+}
+
+// TestSymViolationSetsMatchMultiUE is the exactness gate of the
+// symmetry acceptance criteria: over the full engine matrix — POR
+// on/off × Symmetry on/off × workers 1/8 — both multi-UE worlds
+// (independent and shared-core, defective and fixed) report the one
+// canonical violation set of the plain sequential run.
+func TestSymViolationSetsMatchMultiUE(t *testing.T) {
+	n := symTestN()
+	for _, shared := range []bool{false, true} {
+		for _, fixed := range []bool{false, true} {
+			name := map[bool]string{false: "multiue", true: "multiue-shared"}[shared]
+			t.Run(fmt.Sprintf("%s/fixed=%v", name, fixed), func(t *testing.T) {
+				world := multiUEName(shared, n)
+				s, row := gridWorlds(fixed)[world], rowName(world, fixed)
+				want := violationSet(cell(t, row, s, false, reduction{}, registry))
+				if !fixed && len(want) != n {
+					t.Errorf("defective %d-UE world: plain run found %d violations, want one per UE", n, len(want))
+				}
+				for _, red := range allReductions {
+					for _, workers := range []int{1, 8} {
+						res := cell(t, row, s, false, red, engine{workers: workers})
+						if got := violationSet(res); !reflect.DeepEqual(got, want) {
+							t.Errorf("%+v/workers=%d changes the violation set:\n  got:  %q\n  want: %q", red, workers, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSymParallelDeterminism pins the worker-count independence of the
+// quotient search: with Symmetry on, workers=1 and workers=8 agree on
+// the exact state count, not just the violation set (min-depth visited
+// fixpoint over canonical hashes).
+func TestSymParallelDeterminism(t *testing.T) {
+	n := symTestN()
+	for _, world := range []string{multiUEName(false, n), multiUEName(true, n)} {
+		parallelAgrees(t, world, reduction{sym: true}, reduction{por: true, sym: true})
+	}
+}
+
+// TestPORParallelDeterminism extends the parallel determinism contract
+// to POR runs: workers=1 and workers=8 report the same states count
+// and violation set on the decomposed world.
+func TestPORParallelDeterminism(t *testing.T) {
+	parallelAgrees(t, "multiue2", reduction{por: true})
+}
+
+// parallelAgrees asserts that the defective world gridWorlds names
+// reports the same states count and violation set at 1 and 8 workers
+// under each reduction.
+func parallelAgrees(t *testing.T, world string, reds ...reduction) {
+	t.Helper()
+	s := gridWorlds(false)[world]
+	for _, red := range reds {
+		seq := cell(t, world, s, false, red, registry)
+		par := cell(t, world, s, false, red, engine{workers: 8})
+		if seq.States != par.States {
+			t.Errorf("%s %+v: states differ across workers: seq=%d par=%d", world, red, seq.States, par.States)
+		}
+		if got, want := violationSet(par), violationSet(seq); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %+v: violation sets differ across workers:\n  seq: %q\n  par: %q", world, red, want, got)
 		}
 	}
 }

@@ -87,9 +87,10 @@ go test -race ./internal/netemu ./internal/emu ./internal/fixes
 echo "== go test -race (parallel engine + engine-equivalence oracle) =="
 go test -race ./internal/check ./internal/core
 
-# TestParallelDeterminism runs once, in the leg above: the oracle's
-# race-sized grid, which this leg repeats, screens each of its worlds
-# at 1, 4 and 8 workers.
+# TestParallelDeterminism runs once, in the leg above: each screen it
+# makes (the sequential run twice, sequential BFS, and 1, 2 and 8
+# workers on each of its worlds) is a cell of the oracle's race-sized
+# grid, which this leg repeats.
 echo "== go test -race x5 (layered engine: chunk claims, layer barrier, mid-layer stop; the oracle's race-sized grid) =="
 go test -race -count=5 -timeout 30m -run 'TestEngineEquivalence|TestParallel' -skip '^TestParallelDeterminism$' ./internal/core ./internal/check
 

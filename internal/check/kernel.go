@@ -29,8 +29,7 @@ import (
 // workers (what each goroutine owns). Sequential DFS, and every driver
 // at one worker, runs on the caller's goroutine.
 //
-// Determinism contract (asserted by core's TestEngineEquivalence and
-// TestParallelDeterminism). The
+// Determinism contract (asserted by core's TestEngineEquivalence). The
 // layered search finishes a layer before the next one starts, so every
 // state is claimed in the visited table at its minimal depth and
 // expanded exactly once, whichever worker gets there first. For the

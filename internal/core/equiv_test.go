@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ var (
 // oracleRow is one world of the grid and the reductions it is screened
 // under; ues is a defective multi-UE world's UE count, and wide marks
 // the defective rows, whose plain untimed cell also runs the layered
-// engine at 4 workers.
+// engine at 2 and 4 workers and whose reference runs twice.
 type oracleRow struct {
 	name       string
 	s          Scoped
@@ -50,34 +51,47 @@ func (row oracleRow) engines(red reduction, timed bool) []engine {
 		es = append(es, bfs1)
 	}
 	if row.wide && red == (reduction{}) && !timed {
-		es = append(es, engine{workers: 4})
+		es = append(es, engine{workers: 2}, engine{workers: 4})
 	}
 	return append(es, engine{workers: 8})
 }
 
-// oracleGrid returns every standard world and the 2-UE independent and
-// 3-UE shared-core worlds, defective and fixed, and NAS-timed S1 and S6
-// screened breadth-first. Under the race detector, where a screen costs
-// some 25 times as much, the 3-UE worlds are screened only defective and
-// unreduced (their 2-UE twins carry the reductions), and the NAS-timed
-// worlds not at all.
+// gridRow returns the row of one of the standard worlds or of the 2-UE
+// independent ("multiue2") or 3-UE shared-core ("multiue-shared3")
+// world, screened under every reduction; the walk world under none, as
+// TestPORRandomWalkIgnored and TestSymRandomWalkIgnored pin that the
+// walk ignores both.
+func gridRow(name string, fixed bool) oracleRow {
+	worlds := StandardWorlds(fixed)
+	worlds["multiue2"] = MultiUEWorld(2, fixed)
+	worlds["multiue-shared3"] = MultiUEWorldShared(3, fixed)
+	ues := map[string]int{"multiue": 3, "multiue2": 2, "multiue-shared": 2, "multiue-shared3": 3}
+	row := oracleRow{name: name, s: worlds[name], reductions: allReductions, ues: ues[name], wide: !fixed}
+	if fixed {
+		row.name, row.ues = name+"-fixed", 0
+	}
+	if row.s.Options.Strategy == check.RandomWalk {
+		row.reductions = plainOnly
+	}
+	return row
+}
+
+// oracleGrid returns the rows of every standard world and the 2-UE
+// independent and 3-UE shared-core worlds, defective and fixed, and
+// NAS-timed S1 and S6 screened breadth-first. Under the race detector,
+// where a screen costs some 25 times as much, the 3-UE worlds are
+// screened only defective and unreduced (their 2-UE twins carry the
+// reductions), and the NAS-timed worlds not at all.
 func oracleGrid(t *testing.T) []oracleRow {
 	var rows []oracleRow
 	for _, fixed := range []bool{false, true} {
-		worlds := gridWorlds(fixed)
-		ues := map[string]int{"multiue": 3, "multiue2": 2, "multiue-shared": 2, "multiue-shared3": 3}
 		for _, name := range append(WorldNames(), "multiue2", "multiue-shared3") {
-			row := oracleRow{name: name, s: worlds[name], reductions: allReductions, ues: ues[name], wide: !fixed}
-			switch {
-			case raceEnabled && row.ues == 3 && fixed:
-				continue
-			case raceEnabled && row.ues == 3, row.s.Options.Strategy == check.RandomWalk:
-				// TestPORRandomWalkIgnored and TestSymRandomWalkIgnored
-				// pin that the walk ignores both reductions.
+			row := gridRow(name, fixed)
+			if raceEnabled && (name == "multiue" || name == "multiue-shared3") {
+				if fixed {
+					continue
+				}
 				row.reductions = plainOnly
-			}
-			if fixed {
-				row.name, row.ues = rowName(name, fixed), 0
 			}
 			rows = append(rows, row)
 		}
@@ -99,37 +113,6 @@ func oracleGrid(t *testing.T) []oracleRow {
 	return rows
 }
 
-// gridWorlds returns the standard worlds plus the 2-UE independent
-// and 3-UE shared-core worlds, keyed by the grid's names for them.
-func gridWorlds(fixed bool) map[string]Scoped {
-	worlds := StandardWorlds(fixed)
-	worlds["multiue2"] = MultiUEWorld(2, fixed)
-	worlds["multiue-shared3"] = MultiUEWorldShared(3, fixed)
-	return worlds
-}
-
-// rowName names the grid row of gridWorlds(fixed)[name].
-func rowName(name string, fixed bool) string {
-	if fixed {
-		return name + "-fixed"
-	}
-	return name
-}
-
-// multiUEName is the gridWorlds name of the n-UE independent (or
-// shared-core) world; n is 2 or 3.
-func multiUEName(shared bool, n int) string {
-	switch {
-	case shared && n == 2:
-		return "multiue-shared"
-	case shared:
-		return "multiue-shared3"
-	case n == 3:
-		return "multiue"
-	}
-	return "multiue2"
-}
-
 // cellKey names one screen: a grid row, whether its world is the
 // degenerate-timed copy, the reduction and the engine.
 type cellKey struct {
@@ -139,30 +122,58 @@ type cellKey struct {
 	e     engine
 }
 
-// screened holds every cell screened so far by this test binary, so
-// that each cell is screened once: the tests below the oracle, named
-// after the matrices it grew out of, compare the oracle's own results
-// and screen only the cells it does not have.
-var screened = struct {
+// store holds the cells screened so far in this pass over the package's
+// tests, so that each is screened once: the tests below the oracle,
+// named after the matrices it grew out of, read its results and screen
+// only the cells it lacks. A pass ends when a test that reads the store
+// starts for the second time — go test -count=N runs every test N times
+// over — so each repetition screens afresh.
+var store struct {
 	sync.Mutex
-	m map[cellKey]*check.Result
-}{m: map[cellKey]*check.Result{}}
+	cells   map[cellKey]*check.Result
+	started map[string]bool
+}
 
-// cell returns the result of screening s, the world of the given row
-// (its degenerate-timed copy if timed), under one reduction and
-// engine, screening it on first use.
-func cell(t *testing.T, row string, s Scoped, timed bool, red reduction, e engine) *check.Result {
-	t.Helper()
-	k := cellKey{row, timed, red, e}
-	screened.Lock()
-	r, ok := screened.m[k]
-	screened.Unlock()
-	if !ok {
-		r = screenCell(t, s, red, e)
-		screened.Lock()
-		screened.m[k] = r
-		screened.Unlock()
+// startPass registers the top-level test t as a reader of the store,
+// starting a new pass if t has run before. Every test that calls cell
+// calls it first.
+func startPass(t *testing.T) {
+	store.Lock()
+	defer store.Unlock()
+	if store.started == nil || store.started[t.Name()] {
+		store.cells, store.started = map[cellKey]*check.Result{}, map[string]bool{}
 	}
+	store.started[t.Name()] = true
+}
+
+// cell returns the result of screening the row's world (its
+// degenerate-timed copy if timed) under one reduction and engine,
+// screening it on its first use in this pass.
+func cell(t *testing.T, row oracleRow, timed bool, red reduction, e engine) *check.Result {
+	t.Helper()
+	k := cellKey{row.name, timed, red, e}
+	top, _, _ := strings.Cut(t.Name(), "/")
+	store.Lock()
+	r, ok := store.cells[k]
+	started := store.started[top]
+	store.Unlock()
+	if !started {
+		t.Fatalf("%s reads the cell store without calling startPass", top)
+	}
+	if ok {
+		return r
+	}
+	s := row.s
+	if timed {
+		var err error
+		if s, err = WithTiming(s, TimingDegenerate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r = screenCell(t, s, red, e)
+	store.Lock()
+	store.cells[k] = r
+	store.Unlock()
 	return r
 }
 
@@ -196,12 +207,11 @@ func workOf(r *check.Result) work {
 //	    world does sequential BFS's work, and degenerate-timed BFS
 //	    its untimed twin's;
 //	(d) within one (reduction, timing), every engine covers the same
-//	    spec transitions.
-//
-// check.TestParallelDeterminism adds the layered engine at 2 workers
-// and a second run of the reference on the defective standard worlds
-// and the 3-UE shared-core world.
+//	    spec transitions;
+//	(e) on the defective worlds, two runs of the reference report equal
+//	    visited-table stats.
 func TestEngineEquivalence(t *testing.T) {
+	startPass(t)
 	for _, row := range oracleGrid(t) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
@@ -227,7 +237,12 @@ func screenCell(t *testing.T, s Scoped, red reduction, e engine) *check.Result {
 
 func checkRow(t *testing.T, row oracleRow) {
 	refEngine := row.engines(reduction{}, false)[0]
-	ref := cell(t, row.name, row.s, false, reduction{}, refEngine)
+	ref := cell(t, row, false, reduction{}, refEngine)
+	if row.wide && refEngine == registry {
+		if again := screenCell(t, row.s, reduction{}, registry); !reflect.DeepEqual(again.Visited, ref.Visited) {
+			t.Errorf("%s: visited stats differ between two sequential runs:\n%v\n%v", row.name, again.Visited, ref.Visited)
+		}
+	}
 	want := violationSet(ref)
 	if row.ues > 0 && len(want) != row.ues {
 		t.Errorf("%s: defective %d-UE world reports %d violations, want one per UE", row.name, row.ues, len(want))
@@ -247,7 +262,7 @@ func checkRow(t *testing.T, row oracleRow) {
 			var cov map[string]check.CoverageReport
 			for _, e := range row.engines(red, ti > 0) {
 				name := fmt.Sprintf("%s/%s/%+v/%+v", row.name, [...]string{"untimed", "degenerate"}[ti], red, e)
-				r := cell(t, row.name, s, ti > 0, red, e)
+				r := cell(t, row, ti > 0, red, e)
 				if got := violationSet(r); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: violation set differs from the plain sequential run:\n got %q\nwant %q", name, got, want)
 				}
@@ -295,56 +310,51 @@ func checkRow(t *testing.T, row oracleRow) {
 	}
 }
 
-// symTestN sizes the multi-UE matrices below: three UEs normally, two
-// under the race detector, where the grid screens the 3-UE worlds only
-// defective and unreduced. The n=2 worlds drive the identical code
-// paths (multi-replica canonicalization, closure, parallel engine)
+// The tests below are the matrices the oracle grew out of, kept under
+// their names; they read the oracle's cells.
+
+// multiUE names the rows of the 3-UE independent and shared-core worlds,
+// or under the race detector, where the grid screens those only
+// defective and unreduced, of their 2-UE twins, which drive the same
+// code paths (multi-replica canonicalization, closure, parallel engine)
 // over a 34² product.
-func symTestN() int {
-	if raceEnabled {
-		return 2
+var multiUE = map[bool][2]string{false: {"multiue", "multiue-shared3"}, true: {"multiue2", "multiue-shared"}}[raceEnabled]
+
+// sameSet reports a difference between the violation sets of two cells.
+func sameSet(t *testing.T, what string, got, want *check.Result) {
+	t.Helper()
+	if g, w := violationSet(got), violationSet(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s changes the violation set:\n got %q\nwant %q", what, g, w)
 	}
-	return 3
 }
 
 // TestDegenerateTimingMatchesUntimed: a degenerate timing profile
 // (zero-width periodic windows standing in for the scenario's periodic
 // env events) must reproduce the untimed violation set on every
-// standard world, under every reduction and worker count. The timed
-// state graph is isomorphic to the untimed one — see TimingDegenerate
-// — so any drift here is an engine bug, not a model difference. On the
-// worlds WithTiming leaves unchanged (all but s2 and full) the timed
-// screen is the untimed one.
+// standard world. The timed state graph is isomorphic to the untimed
+// one — see TimingDegenerate — so any drift here is an engine bug, not
+// a model difference. WithTiming returns a world without periodic env
+// events (all but s2 and full) as it is, untimed; on s2 and full the
+// timed run agrees with the untimed one under every reduction at 1 and
+// 8 workers.
 func TestDegenerateTimingMatchesUntimed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("screens every standard world 18 times")
-	}
+	startPass(t)
 	for _, name := range WorldNames() {
-		// Under the race detector keep only the small worlds: the timed
-		// parallel engine's shared paths are identical everywhere, and
-		// the grid screens degenerate-timed s2 at 8 workers.
-		if raceEnabled {
-			switch name {
-			case "s1", "s4cs", "s4ps", "multiue-shared":
-			default:
-				continue
-			}
-		}
 		t.Run(name, func(t *testing.T) {
-			us := StandardWorlds(false)[name]
-			ts, err := WithTiming(us, TimingDegenerate)
+			row := gridRow(name, false)
+			ts, err := WithTiming(row.s, TimingDegenerate)
 			if err != nil {
 				t.Fatalf("WithTiming: %v", err)
 			}
-			timed := ts.World != us.World
-			for _, red := range []reduction{{}, {por: true}, {sym: true}} {
-				for _, workers := range []int{1, 4, 8} {
-					e := engine{workers: workers}
-					untimed := violationSet(cell(t, name, us, false, red, e))
-					if got := violationSet(cell(t, name, ts, timed, red, e)); !reflect.DeepEqual(got, untimed) {
-						t.Errorf("%+v/workers=%d: degenerate-timed violation set diverged from untimed:\n got %q\nwant %q",
-							red, workers, got, untimed)
-					}
+			if ts.World == row.s.World {
+				if ts.World.TimingEnabled() {
+					t.Error("WithTiming returned the world as it is, timed")
+				}
+				return
+			}
+			for _, red := range row.reductions {
+				for _, e := range []engine{registry, {workers: 8}} {
+					sameSet(t, fmt.Sprintf("degenerate timing at %+v/%+v", red, e), cell(t, row, true, red, e), cell(t, row, false, red, e))
 				}
 			}
 		})
@@ -356,15 +366,13 @@ func TestDegenerateTimingMatchesUntimed(t *testing.T) {
 // and fixed variants), the violation set with POR enabled is identical
 // to the violation set with POR disabled.
 func TestPORViolationSetsMatchStandardWorlds(t *testing.T) {
+	startPass(t)
 	for _, fixed := range []bool{false, true} {
 		for _, name := range WorldNames() {
 			t.Run(fmt.Sprintf("%s/fixed=%v", name, fixed), func(t *testing.T) {
-				s, row := StandardWorlds(fixed)[name], rowName(name, fixed)
-				plain := cell(t, row, s, false, reduction{}, registry)
-				por := cell(t, row, s, false, reduction{por: true}, registry)
-				if got, want := violationSet(por), violationSet(plain); !reflect.DeepEqual(got, want) {
-					t.Errorf("POR changes the violation set:\n  por:   %q\n  plain: %q", got, want)
-				}
+				row := gridRow(name, fixed)
+				plain, por := cell(t, row, false, reduction{}, registry), cell(t, row, false, reduction{por: true}, registry)
+				sameSet(t, "POR", por, plain)
 				if por.States > plain.States {
 					t.Errorf("POR visited more states than the plain run: %d > %d", por.States, plain.States)
 				}
@@ -379,23 +387,18 @@ func TestPORViolationSetsMatchStandardWorlds(t *testing.T) {
 // (independent and shared-core, defective and fixed) report the one
 // canonical violation set of the plain sequential run.
 func TestSymViolationSetsMatchMultiUE(t *testing.T) {
-	n := symTestN()
-	for _, shared := range []bool{false, true} {
-		for _, fixed := range []bool{false, true} {
-			name := map[bool]string{false: "multiue", true: "multiue-shared"}[shared]
+	startPass(t)
+	for _, fixed := range []bool{false, true} {
+		for i, name := range []string{"multiue", "multiue-shared"} {
 			t.Run(fmt.Sprintf("%s/fixed=%v", name, fixed), func(t *testing.T) {
-				world := multiUEName(shared, n)
-				s, row := gridWorlds(fixed)[world], rowName(world, fixed)
-				want := violationSet(cell(t, row, s, false, reduction{}, registry))
-				if !fixed && len(want) != n {
-					t.Errorf("defective %d-UE world: plain run found %d violations, want one per UE", n, len(want))
+				row := gridRow(multiUE[i], fixed)
+				plain := cell(t, row, false, reduction{}, registry)
+				if n := len(plain.Violations); row.ues > 0 && n != row.ues {
+					t.Errorf("defective %d-UE world: plain run found %d violations, want one per UE", row.ues, n)
 				}
 				for _, red := range allReductions {
-					for _, workers := range []int{1, 8} {
-						res := cell(t, row, s, false, red, engine{workers: workers})
-						if got := violationSet(res); !reflect.DeepEqual(got, want) {
-							t.Errorf("%+v/workers=%d changes the violation set:\n  got:  %q\n  want: %q", red, workers, got, want)
-						}
+					for _, e := range []engine{registry, {workers: 8}} {
+						sameSet(t, fmt.Sprintf("%+v/%+v", red, e), cell(t, row, false, red, e), plain)
 					}
 				}
 			})
@@ -408,9 +411,9 @@ func TestSymViolationSetsMatchMultiUE(t *testing.T) {
 // the exact state count, not just the violation set (min-depth visited
 // fixpoint over canonical hashes).
 func TestSymParallelDeterminism(t *testing.T) {
-	n := symTestN()
-	for _, world := range []string{multiUEName(false, n), multiUEName(true, n)} {
-		parallelAgrees(t, world, reduction{sym: true}, reduction{por: true, sym: true})
+	startPass(t)
+	for _, world := range multiUE {
+		parallelAgrees(t, gridRow(world, false), reduction{sym: true}, reduction{por: true, sym: true})
 	}
 }
 
@@ -418,23 +421,19 @@ func TestSymParallelDeterminism(t *testing.T) {
 // to POR runs: workers=1 and workers=8 report the same states count
 // and violation set on the decomposed world.
 func TestPORParallelDeterminism(t *testing.T) {
-	parallelAgrees(t, "multiue2", reduction{por: true})
+	startPass(t)
+	parallelAgrees(t, gridRow("multiue2", false), reduction{por: true})
 }
 
-// parallelAgrees asserts that the defective world gridWorlds names
-// reports the same states count and violation set at 1 and 8 workers
-// under each reduction.
-func parallelAgrees(t *testing.T, world string, reds ...reduction) {
+// parallelAgrees asserts that the row reports the same states count and
+// violation set at 1 and 8 workers under each reduction.
+func parallelAgrees(t *testing.T, row oracleRow, reds ...reduction) {
 	t.Helper()
-	s := gridWorlds(false)[world]
 	for _, red := range reds {
-		seq := cell(t, world, s, false, red, registry)
-		par := cell(t, world, s, false, red, engine{workers: 8})
+		seq, par := cell(t, row, false, red, registry), cell(t, row, false, red, engine{workers: 8})
 		if seq.States != par.States {
-			t.Errorf("%s %+v: states differ across workers: seq=%d par=%d", world, red, seq.States, par.States)
+			t.Errorf("%s %+v: states differ across workers: seq=%d par=%d", row.name, red, seq.States, par.States)
 		}
-		if got, want := violationSet(par), violationSet(seq); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s %+v: violation sets differ across workers:\n  seq: %q\n  par: %q", world, red, want, got)
-		}
+		sameSet(t, fmt.Sprintf("%s %+v at 8 workers", row.name, red), par, seq)
 	}
 }

@@ -22,7 +22,8 @@
 // Each argument is a package directory; sources are typechecked
 // best-effort (missing import data degrades the type-driven checks to
 // their syntactic fallbacks, see internal/analyzers). Exit status 2
-// when findings were reported, 1 on analysis failure, 0 otherwise.
+// when findings were reported or the flags are misused, 1 on analysis
+// failure or when no package is named, 0 otherwise.
 package main
 
 import (
@@ -45,43 +46,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes reports to stdout and
+// findings and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	// -V=full is the go command's tool-identification handshake; it
 	// must print "<name> version ... buildID=<hex>" and exit 0 before
 	// any real work happens.
-	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
-	printFlags := flag.Bool("flags", false, "print the tool's flag definitions as JSON and exit (go vet protocol)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: detlint [package-dir...]   (or via go vet -vettool)\n")
-		flag.PrintDefaults()
+	version := fs.String("V", "", "print version and exit (go vet protocol; the value must be full)")
+	printFlags := fs.Bool("flags", false, "print the tool's flag definitions as JSON and exit (go vet protocol)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: detlint [package-dir...]   (or via go vet -vettool)\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *version != "" {
+		return printVersion(*version, stdout, stderr)
+	}
 	if *printFlags {
 		// The go command interrogates the tool for pass-through flags;
 		// this tool defines none beyond the protocol's own.
-		fmt.Println("[]")
-		return
+		fmt.Fprintln(stdout, "[]")
+		return 0
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitcheck(args[0])
-		return
+	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+		return unitcheck(rest[0], stderr)
 	}
-	direct(args)
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 1
+	}
+	return direct(fs.Args(), stderr)
 }
 
-// versionFlag implements the -V=full handshake. The go command caches
-// vet results keyed by the tool's build ID, so the ID must change
-// whenever the binary does: hash the executable itself.
-type versionFlag struct{}
-
-func (versionFlag) String() string   { return "" }
-func (versionFlag) IsBoolFlag() bool { return false }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		return fmt.Errorf("detlint: unsupported -V value %q", s)
+// printVersion answers the -V=full handshake. The go command caches vet
+// results keyed by the tool's build ID, so the ID must change whenever
+// the binary does: hash the executable itself.
+func printVersion(v string, stdout, stderr io.Writer) int {
+	if v != "full" {
+		fmt.Fprintf(stderr, "detlint: unsupported -V value %q\n", v)
+		return 2
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -89,17 +100,15 @@ func (versionFlag) Set(s string) error {
 	}
 	f, err := os.Open(exe)
 	if err != nil {
-		return err
+		return fail(stderr, err)
 	}
+	defer f.Close()
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
-		f.Close()
-		return err
+		return fail(stderr, err)
 	}
-	f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", filepath.Base(exe), h.Sum(nil)[:12])
-	os.Exit(0)
-	return nil
+	fmt.Fprintf(stdout, "%s version devel comments-go-here buildID=%02x\n", filepath.Base(exe), h.Sum(nil)[:12])
+	return 0
 }
 
 // vetConfig is the JSON the go command writes for each unit. The field
@@ -119,15 +128,16 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// unitcheck analyzes one compilation unit under the go vet protocol.
-func unitcheck(cfgPath string) {
+// unitcheck analyzes one compilation unit under the go vet protocol
+// and returns the exit status.
+func unitcheck(cfgPath string, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	var cfg vetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("detlint: parsing %s: %v", cfgPath, err))
+		return fail(stderr, fmt.Errorf("detlint: parsing %s: %v", cfgPath, err))
 	}
 
 	// The protocol requires the facts file regardless of findings (the
@@ -135,12 +145,12 @@ func unitcheck(cfgPath string) {
 	// empty one up front.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 	}
 	if cfg.VetxOnly {
 		// A dependency being vetted only for facts; nothing to do.
-		os.Exit(0)
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -149,9 +159,9 @@ func unitcheck(cfgPath string) {
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				os.Exit(0)
+				return 0
 			}
-			fatal(err)
+			return fail(stderr, err)
 		}
 		files = append(files, f)
 	}
@@ -189,12 +199,11 @@ func unitcheck(cfgPath string) {
 	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			os.Exit(0)
+			return 0
 		}
-		fatal(fmt.Errorf("detlint: typechecking %s: %v", cfg.ImportPath, err))
+		return fail(stderr, fmt.Errorf("detlint: typechecking %s: %v", cfg.ImportPath, err))
 	}
-
-	os.Exit(runAnalyzers(fset, files, pkg, info))
+	return runAnalyzers(fset, files, pkg, info, stderr)
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -204,12 +213,9 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // direct analyzes package directories without the go command: sources
 // are typechecked best-effort against default importer lookups, and
-// analyzers degrade to syntactic checks where info is missing.
-func direct(dirs []string) {
-	if len(dirs) == 0 {
-		flag.Usage()
-		os.Exit(1)
-	}
+// analyzers degrade to syntactic checks where info is missing. It
+// returns the exit status.
+func direct(dirs []string, stderr io.Writer) int {
 	exit := 0
 	for _, dir := range dirs {
 		fset := token.NewFileSet()
@@ -217,9 +223,9 @@ func direct(dirs []string) {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		for _, p := range pkgs {
+		for _, p := range sortedPackages(pkgs) {
 			var files []*ast.File
 			for _, name := range sortedFileNames(p.Files) {
 				files = append(files, p.Files[name])
@@ -233,12 +239,26 @@ func direct(dirs []string) {
 				Error: func(error) {},
 			}
 			pkg, _ := tconf.Check(dir, fset, files, info)
-			if code := runAnalyzers(fset, files, pkg, info); code > exit {
+			if code := runAnalyzers(fset, files, pkg, info, stderr); code > exit {
 				exit = code
 			}
 		}
 	}
-	os.Exit(exit)
+	return exit
+}
+
+// sortedPackages returns the parsed packages in name order.
+func sortedPackages(m map[string]*ast.Package) []*ast.Package {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	pkgs := make([]*ast.Package, len(names))
+	for i, n := range names {
+		pkgs[i] = m[n]
+	}
+	return pkgs
 }
 
 func sortedFileNames(m map[string]*ast.File) []string {
@@ -264,20 +284,21 @@ func newInfo() *types.Info {
 }
 
 // runAnalyzers executes every registered analyzer over one package and
-// prints diagnostics in the canonical file:line:col form. Returns the
-// process exit code contribution: 2 when findings were reported.
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) int {
+// prints diagnostics to stderr in the canonical file:line:col form.
+// Returns the process exit code contribution: 2 when findings were
+// reported, 1 when an analyzer failed.
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, stderr io.Writer) int {
 	found := 0
 	for _, a := range analyzers.All() {
 		pass := &analyzers.Pass{
 			Fset: fset, Files: files, Pkg: pkg, TypesInfo: info,
 			Report: func(d analyzers.Diagnostic) {
 				found++
-				fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, a.Name)
+				fmt.Fprintf(stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, a.Name)
 			},
 		}
 		if err := a.Run(pass); err != nil {
-			fatal(fmt.Errorf("detlint: %s: %v", a.Name, err))
+			return fail(stderr, fmt.Errorf("detlint: %s: %v", a.Name, err))
 		}
 	}
 	if found > 0 {
@@ -286,7 +307,8 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// fail reports err and returns the analysis-failure exit status.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
+	return 1
 }

@@ -83,7 +83,7 @@ func TestVTableGrowthKeepsEntries(t *testing.T) {
 	v := newVisitedTable(false, 0, nil, 4)
 	const n = 5000
 	rng := rand.New(rand.NewSource(7))
-	min := make(map[int]int, n)
+	min := make([]int, n) // key k's minimal depth; 0 until marked (depths start at 2)
 	for round := 0; round < 3; round++ {
 		for k := 0; k < n; k++ {
 			depth := rng.Intn(500) + 2
@@ -92,7 +92,7 @@ func TestVTableGrowthKeepsEntries(t *testing.T) {
 			if _, err := v.mark(h, enc, depth); err != nil {
 				t.Fatal(err)
 			}
-			if d, ok := min[k]; !ok || depth < d {
+			if d := min[k]; d == 0 || depth < d {
 				min[k] = depth
 			}
 		}
@@ -259,10 +259,14 @@ func TestVTableConcurrentCaps(t *testing.T) {
 		limit   = 1000
 	)
 	b := NewBudget(limit)
-	for name, v := range map[string]*visitedTable{
-		"MaxStates": newVisitedTable(false, limit, nil, 4),
-		"Budget":    newVisitedTable(false, 0, b, 4),
+	for _, tc := range []struct {
+		name string
+		v    *visitedTable
+	}{
+		{"MaxStates", newVisitedTable(false, limit, nil, 4)},
+		{"Budget", newVisitedTable(false, 0, b, 4)},
 	} {
+		name, v := tc.name, tc.v
 		var (
 			wg          sync.WaitGroup
 			mu          sync.Mutex

@@ -40,7 +40,8 @@ type Property interface {
 // Scenario offers candidate environment events for a world (§3.2.1
 // usage-scenario modeling). Implementations must be deterministic
 // functions of the world state so DFS/BFS remain sound; RandomWalk may
-// be paired with stochastic scenarios.
+// be paired with stochastic scenarios, which declare themselves
+// (Stochastic) so the layered search can refuse them.
 type Scenario interface {
 	Events(w *model.World) []model.EnvEvent
 }
@@ -357,11 +358,15 @@ func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, e
 // dispatch runs an already-defaulted, already-prescreened search on the
 // exploration kernel (kernel.go) under the frontier driver the options
 // select: sequential DFS on the depth-first stack; BFS, and either
-// search strategy on more than one worker, on the layered frontier;
-// RandomWalk on none.
+// search strategy on more than one worker, on the layered frontier,
+// which refuses a Stochastic scenario (path.go); RandomWalk on none.
 func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
 	if opt.Strategy > RandomWalk {
 		return nil, fmt.Errorf("check: unknown strategy %v", opt.Strategy)
+	}
+	layered := opt.Strategy == BFS || opt.Strategy == DFS && opt.Workers > 1
+	if layered && isStochastic(sc) {
+		return nil, ErrStochasticScenario
 	}
 	e, workers, err := newEngine(w, props, sc, opt)
 	if err != nil {
@@ -370,10 +375,10 @@ func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Resu
 	switch {
 	case opt.Strategy == RandomWalk:
 		runWalks(e, workers)
-	case opt.Strategy == DFS && opt.Workers == 1:
-		runDFS(e, workers[0])
-	default:
+	case layered:
 		runLayered(e, workers)
+	default:
+		runDFS(e, workers[0])
 	}
 	return e.finish(workers)
 }

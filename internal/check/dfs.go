@@ -8,18 +8,24 @@ import (
 
 // dfsFrame is one level of the depth-first stack: the open expansion of
 // the node at that depth, the children it still has to descend into,
-// and the node's place on the current path. Frames are reused for every
-// node the search visits at their depth, so steady-state exploration
-// allocates nothing; the path node being part of the frame is why a
-// counterexample must be materialized the moment it is captured.
+// the path to the node (at) and the node's place on the paths below it.
+// Frames are reused for every node the search visits at their depth, so
+// steady-state exploration allocates nothing; the path nodes being part
+// of the frames is why a counterexample must be materialized the moment
+// it is captured.
 type dfsFrame struct {
 	frame
 	children []model.Step
+	at       *pathNode
 	path     pathNode
 }
 
-func (f *dfsFrame) push(_ *model.World, _ *pathNode, applied model.Step, _ []byte) {
+func (f *dfsFrame) push(_ *model.World, _ int, applied model.Step, _ []byte) {
 	f.children = append(f.children, applied)
+}
+
+func (f *dfsFrame) trace(last model.Step) ([]model.Step, error) {
+	return materializePath(&pathNode{prev: f.at, step: last}), nil
 }
 
 // dfs is the depth-first driver: the kernel run over a stack of frames
@@ -59,8 +65,8 @@ func (d *dfs) visit(path *pathNode, depth int) {
 		d.frames = append(d.frames, &dfsFrame{})
 	}
 	f, child := d.frames[depth], d.frames[depth+1]
-	f.children = f.children[:0]
-	if !wk.expand(d.w, path, depth, &f.frame, f) {
+	f.children, f.at = f.children[:0], path
+	if !wk.expand(d.w, depth, &f.frame, f) {
 		return
 	}
 	for i := len(f.children) - 1; i >= 0 && !e.stop.Load(); i-- {

@@ -27,6 +27,9 @@ func (f filteredScenario) Events(w *model.World) []model.EnvEvent {
 	return out
 }
 
+// Stochastic forwards the base scenario's answer.
+func (f filteredScenario) Stochastic() bool { return isStochastic(f.base) }
+
 // EssentialEvents computes the minimal set of environment events that
 // still violates the property — the distilled answer to "which user
 // and operator actions actually trigger this finding". Starting from

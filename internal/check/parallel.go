@@ -1,6 +1,9 @@
 package check
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"sync/atomic"
 
 	"cnetverifier/internal/model"
@@ -31,56 +34,89 @@ import (
 const layerChunk = 64
 
 // node is one frontier entry: a state awaiting expansion, as its plain
-// key, and the path that first reached it. Its depth is its layer's.
+// key, and how it was first reached — the trail entry of the state it
+// was discovered from and the discovering step's index (path.go). Its
+// depth is its layer's; its own trail entry is its layer's base plus its
+// position in the layer.
 type node struct {
-	key  []byte
-	path *pathNode
+	key       []byte
+	prev, idx uint32
 }
 
 // layerQueue is one worker's side of the frontier, kept across layers:
-// its expansion frame, the world it rebuilds nodes into, the path
-// arena, the successors found in the current layer and the arenas
-// holding their keys. Arena nodes and keys are read by other workers in
-// later layers (the barrier is the fence) but only the owner appends.
+// its expansion frame, the world it rebuilds nodes into, the successors
+// found in the current layer and the arenas holding their keys, and the
+// scratch a counterexample replay runs in. Arena keys are read by other
+// workers in later layers (the barrier is the fence) but only the owner
+// appends.
 type layerQueue struct {
 	frame
+	e     *engine
 	w     *model.World
 	in    *model.Interner
 	canon bool   // the visited key is canonical; push takes the plain one
-	kbuf  []byte // push's plain-key scratch under canon
-	arena stepArena
+	kbuf  []byte // plain-key scratch: push's under canon, trace's
 	next  []node
 	// keys holds the successors' keys by layer parity: the keys written
 	// while expanding layer d are layer d+1's frontier, read until the
 	// barrier after it, so the arena is free again for layer d+2.
 	keys [2]keyArena
 	cur  *keyArena
+	// at is the node being expanded: its trail entry and its key.
+	at    uint32
+	atKey []byte
+	// replay and rsteps are the world and the enumeration scratch a
+	// captured counterexample is replayed in — this worker's own, never
+	// a world another worker expands in.
+	replay model.World
+	rsteps []model.Step
 }
 
 // push files a successor: its key, which markVisited has just built
-// into key, goes into the current key arena, and a path node into the
-// path arena. Only a transition that discovers a state pays for this —
-// in the dense state graphs screening produces, a small fraction.
-func (q *layerQueue) push(w *model.World, prev *pathNode, applied model.Step, key []byte) {
+// into key, goes into the current key arena, with the node's trail
+// entry and the step's index. Only a transition that discovers a state
+// pays for this — in the dense state graphs screening produces, a small
+// fraction.
+func (q *layerQueue) push(w *model.World, idx int, _ model.Step, key []byte) {
 	if q.canon {
 		// A canonical representative would not replay the path's steps:
 		// the frontier holds the state the path actually reaches.
 		_, q.kbuf = w.AppendKey(q.in, q.kbuf)
 		key = q.kbuf
 	}
-	q.next = append(q.next, node{key: q.cur.append(key), path: q.arena.append(prev, applied)})
+	q.next = append(q.next, node{key: q.cur.append(key), prev: q.at, idx: uint32(idx)})
 }
 
-// expandAll expands a run of same-depth frontier nodes, each rebuilt in
-// turn into the queue's world, stopping between nodes once the run is
-// over.
-func (q *layerQueue) expandAll(wk *worker, nodes []node, depth int) {
-	for _, n := range nodes {
+// trace rebuilds the counterexample through the node being expanded
+// and last, the step just applied to it: the node's trail is replayed
+// from the run's start world in the queue's replay world, which must
+// reach the state the node holds, and last — as the expansion applied
+// it — ends it.
+func (q *layerQueue) trace(last model.Step) ([]model.Step, error) {
+	e := q.e
+	path, rsteps, err := replayTrail(&e.trails, q.at, e.root, &q.replay, e.sc, q.rsteps)
+	q.rsteps = rsteps
+	if err != nil {
+		return nil, err
+	}
+	_, q.kbuf = q.replay.AppendKey(q.in, q.kbuf)
+	if !bytes.Equal(q.kbuf, q.atKey) {
+		return nil, fmt.Errorf("check: counterexample replay of %d steps reached another state than the search expanded: the scenario's Events is not a pure function of the world", len(path))
+	}
+	return append(path, ownStep(last)), nil
+}
+
+// expandAll expands a run of same-depth frontier nodes, the first of
+// which has trail entry at, each rebuilt in turn into the queue's
+// world, stopping between nodes once the run is over.
+func (q *layerQueue) expandAll(wk *worker, nodes []node, at uint32, depth int) {
+	for i, n := range nodes {
 		if wk.halted() {
 			return
 		}
+		q.at, q.atKey = at+uint32(i), n.key
 		q.w.LoadKey(q.in, n.key)
-		if !wk.expand(q.w, n.path, depth, &q.frame, q) {
+		if !wk.expand(q.w, depth, &q.frame, q) {
 			return
 		}
 	}
@@ -125,7 +161,7 @@ func runLayered(e *engine, workers []*worker) {
 	in := e.visited.in
 	queues := make([]layerQueue, len(workers)) // indexed by worker id
 	for i := range queues {
-		queues[i].in, queues[i].canon = in, e.visited.canon
+		queues[i].e, queues[i].in, queues[i].canon = e, in, e.visited.canon
 	}
 	_, rootKey := e.root.AppendKey(in, nil)
 	frontier := []node{{key: rootKey}}
@@ -136,6 +172,14 @@ func runLayered(e *engine, workers []*worker) {
 		if depth >= e.opt.MaxDepth {
 			workers[0].truncated = true
 			break
+		}
+		// The layer's trail entries, in frontier order: node i's is base+i.
+		base := e.trails.n
+		for _, n := range frontier {
+			if _, ok := e.trails.append(trail{prev: n.prev, idx: n.idx}); !ok {
+				e.fail(fmt.Errorf("check: layered search: more than %d states to trace", uint32(math.MaxUint32)))
+				return
+			}
 		}
 		// Workers beyond the number of chunks would find nothing to claim.
 		chunks := (len(frontier) + layerChunk - 1) / layerChunk
@@ -152,7 +196,7 @@ func runLayered(e *engine, workers []*worker) {
 				if lo >= len(frontier) {
 					return
 				}
-				q.expandAll(wk, frontier[lo:min(lo+layerChunk, len(frontier))], depth)
+				q.expandAll(wk, frontier[lo:min(lo+layerChunk, len(frontier))], base+uint32(lo), depth)
 			}
 		})
 		spare = spare[:0]

@@ -21,13 +21,18 @@ func walkSeed(seed int64, walk int) int64 {
 // walker is per-worker scratch for random walks: a world refreshed with
 // CloneInto at the start of each walk, the RNG reseeded per walk, the
 // steps buffer, and the nodes of the current walk's path (a walk is at
-// most MaxDepth long), so sampling thousands of schedules reuses one
-// allocation footprint.
+// most MaxDepth long) with its last node, at, so sampling thousands of
+// schedules reuses one allocation footprint.
 type walker struct {
 	w     model.World
 	rng   *rand.Rand
 	steps []model.Step
 	path  []pathNode
+	at    *pathNode
+}
+
+func (k *walker) trace(last model.Step) ([]model.Step, error) {
+	return materializePath(&pathNode{prev: k.at, step: last}), nil
 }
 
 // runWalks is the RandomWalk driver: workers draw walk indices off a
@@ -54,18 +59,18 @@ func (wk *worker) walk(k *walker, walk int) {
 	e := wk.e
 	k.rng.Seed(walkSeed(e.opt.Seed, walk))
 	e.root.CloneInto(&k.w)
-	var prev *pathNode
+	k.at = nil
 	for depth := 0; depth < e.opt.MaxDepth; depth++ {
 		k.steps = k.w.StepsAppend(k.steps[:0], e.sc.Events(&k.w))
 		if len(k.steps) == 0 {
 			return
 		}
 		wk.maxDepth = max(wk.maxDepth, depth+1)
-		applied, _, ok := wk.step(&k.w, prev, k.steps[k.rng.Intn(len(k.steps))], depth)
+		applied, _, ok := wk.step(&k.w, k.steps[k.rng.Intn(len(k.steps))], depth, k)
 		if !ok {
 			return
 		}
-		k.path[depth] = pathNode{prev: prev, step: applied}
-		prev = &k.path[depth]
+		k.path[depth] = pathNode{prev: k.at, step: applied}
+		k.at = &k.path[depth]
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"cnetverifier/internal/check"
@@ -81,5 +82,30 @@ func TestFullWorldBoundedDFS(t *testing.T) {
 	}
 	if r.Result.MaxDepth > 6 {
 		t.Fatalf("depth bound exceeded: %d", r.Result.MaxDepth)
+	}
+}
+
+// The layered search rebuilds counterexamples by replaying step
+// indices, which the sampler's RNG cannot reproduce: BFS, and DFS on
+// two workers, refuse the sampled full world (timed too) with the named
+// error, while random walks over it run as before.
+func TestFullWorldSampledRefusedByLayeredSearch(t *testing.T) {
+	s := FullWorld(FullConfig{SwitchOpt: names.SwitchReselect, SampleSeed: 1, SamplePerStep: 5})
+	timed, err := WithTiming(s, TimingNAS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []Scoped{s, timed} {
+		for _, opt := range []check.Options{{Strategy: check.BFS}, {Strategy: check.DFS, Workers: 2}} {
+			opt.MaxDepth = 4
+			if _, err := Screen(sc, opt); !errors.Is(err, check.ErrStochasticScenario) {
+				t.Errorf("%v at %d workers: err = %v, want check.ErrStochasticScenario", opt.Strategy, opt.Workers, err)
+			}
+		}
+	}
+	opt := s.Options
+	opt.Walks = 20
+	if _, err := Screen(s, opt); err != nil {
+		t.Errorf("random walks over the sampled world: %v", err)
 	}
 }

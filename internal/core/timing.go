@@ -73,6 +73,12 @@ func (s timedScenario) Events(w *model.World) []model.EnvEvent {
 	return untimed(s.inner.Events(w), s.owned)
 }
 
+// Stochastic forwards the inner scenario's check.Stochastic answer.
+func (s timedScenario) Stochastic() bool {
+	st, ok := s.inner.(check.Stochastic)
+	return ok && st.Stochastic()
+}
+
 // untimed returns a copy of evs without the periodic-timer events of
 // the owned processes.
 func untimed(evs []model.EnvEvent, owned map[string]bool) []model.EnvEvent {

@@ -232,6 +232,11 @@ func (s *Sampler) Events(w *model.World) []model.EnvEvent {
 	return toEnv(picked)
 }
 
+// Stochastic reports that Events draws from the sampler's RNG rather
+// than being a function of the world: a search that replays
+// counterexamples from step indices refuses it (check.Stochastic).
+func (s *Sampler) Stochastic() bool { return true }
+
 func toEnv(evs []Event) []model.EnvEvent {
 	out := make([]model.EnvEvent, len(evs))
 	for i, e := range evs {
